@@ -5,15 +5,21 @@ fresh environmental units, optionally with ancilla-ancilla collisions
 (stochastic partial SWAP, coherent or incoherent) and partial erasure of
 the correlations left behind by each collision.
 
-Two backends: ``windowed`` keeps at most the system plus two live
-ancillas (the carried and the fresh one) and traces units out as soon as
-they can no longer influence the future; ``full`` keeps every ancilla in
-one joint state and serves as the exact small-instance oracle.
+One stepping loop serves both backends, which differ only in what they
+retain after each step: ``windowed`` traces down to the system (or to the
+system plus the fresh unit when ancilla-ancilla collisions are on), so it
+carries at most the system and two live ancillas; ``full`` keeps every
+ancilla in one joint state and serves as the exact small-instance oracle.
 
 Step ordering: append fresh unit, ancilla-ancilla collision between the
-carried and fresh unit, system-fresh collision, erasure, discard the
-stale unit.  Incoherent ancilla-ancilla swaps consume exactly one RNG
-coin per step so paired runs can share a channel realization.
+carried and fresh unit, system-fresh collision, erasure, integrity check,
+retention.  Every collision is a local gate: its two-site unitary is
+contracted into the joint state's factors (``linalg.conjugate`` with
+targets), never lifted to the whole space.  The integrity check tests
+the eigenvalue floor with a Cholesky factorization and computes the
+spectrum only when that fails.  Incoherent ancilla-ancilla swaps consume
+exactly one RNG coin per step so paired runs can share a channel
+realization.
 """
 
 from __future__ import annotations
@@ -98,6 +104,17 @@ class CollisionConfig:
     keep_joint_snapshots: bool = False
 
     def validate(self):
+        finite = {"system_hamiltonian": self.system_hamiltonian,
+                  "system_init": self.system_init, "tau": self.tau,
+                  "coupling": self.coupling, "aa_theta": self.aa_theta}
+        for i, st in enumerate(self.streams):
+            finite[f"streams[{i}].hamiltonian"] = st.hamiltonian
+            finite[f"streams[{i}].init_state"] = st.init_state
+        for i, v in enumerate(self.interactions):
+            finite[f"interactions[{i}]"] = v
+        for name, value in finite.items():
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} has non-finite entries")
         qstate.validate_density_matrix(self.system_init)
         if self.system_init.shape != (self.system_dim, self.system_dim):
             raise ConfigError("system_init dimension mismatch")
@@ -230,12 +247,12 @@ def apply_aa_collision(joint: np.ndarray, dims: list[int], targets: list[int],
     d = dims[targets[0]]
     if dims[targets[1]] != d:
         raise ConfigError("ancilla-ancilla collision needs equal dims")
-    u = linalg.embed_operator(partial_swap_unitary(d, theta), dims, targets)
+    u = partial_swap_unitary(d, theta)
     if mode == "incoherent":
         if coin is None:
             raise ConfigError("incoherent aa collision needs a coin")
-        return linalg.conjugate(u, joint) if coin < p else joint
-    return p * linalg.conjugate(u, joint) + (1.0 - p) * joint
+        return linalg.conjugate(u, joint, dims, targets) if coin < p else joint
+    return p * linalg.conjugate(u, joint, dims, targets) + (1.0 - p) * joint
 
 
 def system_channel(cfg: CollisionConfig, stream: int = 0):
@@ -256,17 +273,28 @@ def _expect(h: np.ndarray, rho: np.ndarray) -> float:
 
 
 def _integrity(joint: np.ndarray, step: int) -> np.ndarray:
-    """Hermitize, check the eigenvalue floor, renormalize the trace."""
+    """Hermitize, check the eigenvalue floor, renormalize the trace.
+
+    The Cholesky factorization of joint - PSD_ABORT I exists exactly when
+    the smallest eigenvalue exceeds PSD_ABORT; only when it fails is the
+    spectrum computed, so rounding at the boundary never aborts a run.
+    """
     joint = linalg.hermitize(joint)
-    vals = np.linalg.eigvalsh(joint)
-    if vals[0] < PSD_ABORT:
-        raise IntegrityError(
-            f"state lost positivity at step {step}: min eigenvalue {vals[0]:.3g}")
+    if not np.all(np.isfinite(joint)):
+        raise IntegrityError(f"state has non-finite entries at step {step}")
+    try:
+        np.linalg.cholesky(joint - PSD_ABORT * np.eye(len(joint)))
+    except np.linalg.LinAlgError:
+        vals = np.linalg.eigvalsh(joint)
+        if vals[0] < PSD_ABORT:
+            raise IntegrityError(
+                f"state lost positivity at step {step}: "
+                f"min eigenvalue {vals[0]:.3g}") from None
     return joint / np.trace(joint).real
 
 
 class _Runner:
-    """Shared stepping logic for both backends."""
+    """The stepping loop shared by both backends."""
 
     def __init__(self, cfg: CollisionConfig, coins: np.ndarray | None = None):
         cfg.validate()
@@ -307,66 +335,28 @@ class _Runner:
             S_anc_pre=s_a_pre, S_anc_post=s_a_post,
             I_SE=i_se, Sigma=sigma, D_env_relent=d_rel)
 
-    def run_windowed(self) -> Trajectory:
+    def run(self) -> Trajectory:
         cfg = self.cfg
-        window = cfg.system_init.copy()
-        win_dims = [cfg.system_dim]
-        records, anc_dims = [], []
-        snapshots = [window.copy()] if cfg.keep_snapshots else None
-        for k in range(cfg.n_steps):
-            si, st = cfg.stream_for_step(k)
-            anc_dims.append(st.dim)
-            joint = linalg.kron(window, st.init_state)
-            dims = win_dims + [st.dim]
-            fresh = len(dims) - 1
-            aa_active = cfg.aa_mode != "off" and cfg.aa_swap_prob > 0 and fresh >= 2
-            if aa_active:
-                joint = apply_aa_collision(joint, dims, [fresh - 1, fresh],
-                                           cfg.aa_swap_prob, cfg.aa_mode,
-                                           cfg.aa_theta, self.coins[k])
-            pre_s = linalg.partial_trace(joint, dims, [0])
-            pre_e = linalg.partial_trace(joint, dims, [fresh])
-            u = linalg.embed_operator(self.unitaries[si], dims, [0, fresh])
-            joint = linalg.conjugate(u, joint)
-            joint = erase_correlations(joint, dims, cfg.erasure_lambda)
-            joint = _integrity(joint, k)
-            post_s = linalg.partial_trace(joint, dims, [0])
-            post_e = linalg.partial_trace(joint, dims, [fresh])
-            pair = linalg.partial_trace(joint, dims, [0, fresh])
-            i_se = qstate.mutual_information(pair, [cfg.system_dim, st.dim], 1,
-                                             cfg.log_base)
-            records.append(self._record(k, si, st, pre_s, pre_e, post_s, post_e,
-                                        i_se, cfg.aa_mode != "off" and fresh >= 2))
-            if cfg.aa_mode == "off":
-                window, win_dims = post_s, [cfg.system_dim]
-            else:
-                window, win_dims = pair, [cfg.system_dim, st.dim]
-            if snapshots is not None:
-                snapshots.append(post_s)
-        return Trajectory(config=cfg, records=records, snapshots=snapshots,
-                          anc_dims=anc_dims)
-
-    def run_full(self) -> Trajectory:
-        cfg = self.cfg
+        full = cfg.backend == "full"
         joint = cfg.system_init.copy()
         dims = [cfg.system_dim]
         records, anc_dims = [], []
         snapshots = [joint.copy()] if cfg.keep_snapshots else None
-        joints = [joint.copy()] if cfg.keep_joint_snapshots else None
+        joints = [joint] if full and cfg.keep_joint_snapshots else None
         for k in range(cfg.n_steps):
             si, st = cfg.stream_for_step(k)
             anc_dims.append(st.dim)
             joint = linalg.kron(joint, st.init_state)
             dims = dims + [st.dim]
             fresh = len(dims) - 1
-            if cfg.aa_mode != "off" and cfg.aa_swap_prob > 0 and fresh >= 2:
+            aa_active = cfg.aa_mode != "off" and fresh >= 2
+            if aa_active:
                 joint = apply_aa_collision(joint, dims, [fresh - 1, fresh],
                                            cfg.aa_swap_prob, cfg.aa_mode,
                                            cfg.aa_theta, self.coins[k])
             pre_s = linalg.partial_trace(joint, dims, [0])
             pre_e = linalg.partial_trace(joint, dims, [fresh])
-            u = linalg.embed_operator(self.unitaries[si], dims, [0, fresh])
-            joint = linalg.conjugate(u, joint)
+            joint = linalg.conjugate(self.unitaries[si], joint, dims, [0, fresh])
             joint = erase_correlations(joint, dims, cfg.erasure_lambda)
             joint = _integrity(joint, k)
             post_s = linalg.partial_trace(joint, dims, [0])
@@ -375,17 +365,21 @@ class _Runner:
             i_se = qstate.mutual_information(pair, [cfg.system_dim, st.dim], 1,
                                              cfg.log_base)
             records.append(self._record(k, si, st, pre_s, pre_e, post_s, post_e,
-                                        i_se, cfg.aa_mode != "off" and fresh >= 2))
+                                        i_se, aa_active))
             if snapshots is not None:
                 snapshots.append(post_s)
-            if joints is not None:
-                joints.append(joint.copy())
+            # retention: full keeps everything, windowed only what the next
+            # step can touch
+            if full:
+                if joints is not None:
+                    joints.append(joint)
+            elif cfg.aa_mode == "off":
+                joint, dims = post_s, [cfg.system_dim]
+            else:
+                joint, dims = pair, [cfg.system_dim, st.dim]
         return Trajectory(config=cfg, records=records, snapshots=snapshots,
-                          final_joint=joint, joint_snapshots=joints,
-                          anc_dims=anc_dims)
-
-    def run(self) -> Trajectory:
-        return self.run_full() if self.cfg.backend == "full" else self.run_windowed()
+                          final_joint=joint if full else None,
+                          joint_snapshots=joints, anc_dims=anc_dims)
 
 
 def run(cfg: CollisionConfig, coins: np.ndarray | None = None) -> Trajectory:

@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
 Tensor products, partial traces, Hermitian eigendecomposition,
-Hamiltonian-generated unitaries, commutators and operator embedding.
+Hamiltonian-generated unitaries, commutators, operator embedding and
+conjugation by an operator on a subset of factors.
 All operators are plain ``numpy.ndarray`` in row-major order; subsystem
 index 0 is always the system, ascending indices are later ancillas, and
 ``kron`` composes left-to-right in that order.
@@ -135,6 +136,27 @@ def embed_operator(u: np.ndarray, dims: list[int], targets: list[int]) -> np.nda
     return tens.reshape(d, d)
 
 
-def conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """u rho u†."""
-    return u @ rho @ u.conj().T
+def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int] | None = None,
+              targets: list[int] | None = None) -> np.ndarray:
+    """u rho u†.
+
+    With ``dims`` and ``targets``, ``u`` acts on the factors ``targets`` of
+    ``rho`` (in that order, identity elsewhere, as in ``embed_operator``)
+    without building the lift: u (x) conj(u) is contracted into the ket and
+    bra axes of the targets in one pass.  Targets that are all the factors
+    in order give the dense product.
+    """
+    if targets is None or list(targets) == list(range(len(dims))):
+        return u @ rho @ u.conj().T
+    dims, targets = list(dims), list(targets)
+    n, m = len(dims), len(targets)
+    t_dims = [dims[i] for i in targets]
+    d_t = math.prod(t_dims)
+    if u.shape != (d_t, d_t):
+        raise ConfigError(f"operator shape {u.shape} does not match targets {targets}")
+    u_t = u.reshape(t_dims * 2)
+    sup = np.multiply.outer(u_t, u_t.conj())  # axes: ket out, ket in, bra out, bra in
+    kets_bras = targets + [n + i for i in targets]
+    t = np.tensordot(sup, rho.reshape(dims * 2),
+                     axes=([*range(m, 2 * m), *range(3 * m, 4 * m)], kets_bras))
+    return np.moveaxis(t, range(2 * m), kets_bras).reshape(rho.shape)

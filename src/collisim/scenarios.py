@@ -103,7 +103,9 @@ def scenario_nonmarkov_sweep(overrides: dict, seed: int = 0,
                              log_base: float = 2.0) -> ScenarioResult:
     p = _merge(NONMARKOV_DEFAULTS, overrides, "nonmarkov_sweep")
     sweep = []
-    rep_traj = None
+    # representative trajectory: the coherent entry with the largest p, or
+    # the last entry when no mode is coherent
+    rep_traj, rep_p = None, -math.inf
     for mode in p["modes"]:
         for prob in p["p_grid"]:
             cfg = _pswap_config(p, seed, log_base,
@@ -124,7 +126,9 @@ def scenario_nonmarkov_sweep(overrides: dict, seed: int = 0,
             entry["min_bound_slack"] = float(min(r.slack for r in reports))
             entry["max_revival_lhs"] = float(max(r.lhs for r in reports))
             sweep.append(entry)
-            if mode == "coherent" and prob == 1.0:
+            if mode == "coherent" and prob >= rep_p:
+                rep_traj, rep_p = traj_a, prob
+            elif rep_p == -math.inf:
                 rep_traj = traj_a
     summary = {"params": {k: list(v) if isinstance(v, tuple) else v
                           for k, v in p.items()},

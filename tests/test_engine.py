@@ -1,15 +1,16 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from collisim import linalg, qstate
+from collisim import engine, linalg, qstate
 from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
                              collision_unitary, erase_correlations,
                              partial_swap_interaction, partial_swap_unitary, run,
                              run_paired, swap_unitary, system_channel)
-from collisim.errors import ConfigError
+from collisim.errors import ConfigError, IntegrityError
 from conftest import random_density_matrix, random_hermitian
 
 SX, SY, SZ, I2 = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
@@ -168,6 +169,13 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(cfg)
 
+    def test_full_backend_cap_is_inclusive(self):
+        # 2 * 2**9 = 2**10: exactly at the default cap (validated, not run)
+        qubit_config(n_steps=9, backend="full").validate()
+        qubit_config(n_steps=3, backend="full", full_factor_cap=4).validate()
+        with pytest.raises(ConfigError):
+            qubit_config(n_steps=4, backend="full", full_factor_cap=4).validate()
+
     def test_full_backend_retains_joint(self):
         cfg = qubit_config(n_steps=3, backend="full")
         traj = run(cfg)
@@ -295,6 +303,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             stream.validate()
 
+    def test_nan_coupling_names_field(self):
+        with pytest.raises(ConfigError, match="coupling"):
+            qubit_config(theta=math.nan).validate()
+
+    def test_infinite_aa_theta_names_field(self):
+        cfg = qubit_config(aa_mode="coherent", aa_swap_prob=0.5, aa_theta=math.inf)
+        with pytest.raises(ConfigError, match="aa_theta"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field", ["system_hamiltonian", "system_init",
+                                       "streams[0].hamiltonian",
+                                       "streams[0].init_state", "interactions[0]"])
+    def test_non_finite_matrix_names_field(self, field):
+        cfg = qubit_config()
+        st = cfg.streams[0]
+        arrays = {"system_hamiltonian": cfg.system_hamiltonian.copy(),
+                  "system_init": cfg.system_init.copy(),
+                  "streams[0].hamiltonian": st.hamiltonian.copy(),
+                  "streams[0].init_state": st.init_state.copy(),
+                  "interactions[0]": cfg.interactions[0].copy()}
+        arrays[field][0, 0] = np.nan
+        cfg.system_hamiltonian = arrays["system_hamiltonian"]
+        cfg.system_init = arrays["system_init"]
+        cfg.streams = [replace(st, hamiltonian=arrays["streams[0].hamiltonian"],
+                               init_state=arrays["streams[0].init_state"])]
+        cfg.interactions = [arrays["interactions[0]"]]
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            cfg.validate()
+
     def test_aa_needs_single_stream(self):
         h = SZ / 2
         stream = AncillaStream(2, h, qstate.thermal_state(h, 1.0), beta=1.0)
@@ -303,3 +340,36 @@ class TestConfigValidation:
                               aa_mode="coherent", aa_swap_prob=0.5)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def state_with_min_eig(min_eig, dim=8, trace=2.0):
+    """A Hermitian matrix with smallest eigenvalue ``min_eig`` in a random basis."""
+    rng = np.random.default_rng(3)
+    vals = np.linspace(0.1, 1.0, dim)
+    vals[0] = min_eig
+    vals[1:] *= (trace - min_eig) / vals[1:].sum()
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return (q * vals) @ q.conj().T
+
+
+class TestIntegrity:
+    def test_non_finite_state_raises(self):
+        joint = np.full((8, 8), np.nan, dtype=complex)
+        with pytest.raises(IntegrityError, match="non-finite"):
+            engine._integrity(joint, 3)
+
+    def test_eigenvalue_below_floor_raises_and_quotes_it(self):
+        with pytest.raises(IntegrityError, match="-1e-06"):
+            engine._integrity(state_with_min_eig(-1e-6), 0)
+
+    def test_rounding_above_floor_is_accepted_and_renormalized(self):
+        out = engine._integrity(state_with_min_eig(-1e-9), 0)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(out - out.conj().T)) == 0.0
+
+    def test_failed_factorization_alone_never_aborts(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        out = engine._integrity(state_with_min_eig(-9e-9), 0)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)

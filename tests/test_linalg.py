@@ -183,3 +183,32 @@ class TestEmbedOperator:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         full = linalg.embed_operator(linalg.kron(b, a), [2, 2], [1, 0])
         assert np.allclose(full, linalg.kron(a, b), atol=1e-13)
+
+
+class TestLocalConjugate:
+    @pytest.mark.parametrize("dims,targets", [
+        ([2, 2, 2], [0, 2]),       # non-contiguous
+        ([2, 2, 2], [2, 0]),       # reversed
+        ([2, 3, 2], [0, 1]),       # mixed dims
+        ([2, 3, 2], [2, 1]),
+        ([2] * 9, [0, 8]),         # first and last of nine qubits
+    ])
+    def test_matches_dense_lift(self, dims, targets):
+        rng = np.random.default_rng(15)
+        d_t = int(np.prod([dims[i] for i in targets]))
+        u = rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))
+        rho = random_density_matrix(rng, int(np.prod(dims)))
+        local = linalg.conjugate(u, rho, dims, targets)
+        dense = linalg.conjugate(linalg.embed_operator(u, dims, targets), rho)
+        assert np.max(np.abs(local - dense)) < 1e-12
+
+    def test_all_factors_in_order_is_dense_product(self):
+        rng = np.random.default_rng(16)
+        u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = random_density_matrix(rng, 4)
+        assert np.array_equal(linalg.conjugate(u, rho, [2, 2], [0, 1]),
+                              u @ rho @ u.conj().T)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ConfigError):
+            linalg.conjugate(np.eye(3), np.eye(8), [2, 2, 2], [0, 2])

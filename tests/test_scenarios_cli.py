@@ -132,6 +132,36 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["log_base"] == pytest.approx(math.e)
 
+    def test_nonmarkov_sweep_without_p_one_writes_trajectory(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {
+            "p_grid": [0.0, 0.5], "n_steps": 10, "bound_steps": 3}}))
+        code = cli.main(["nonmarkov_sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        out_file = tmp_path / "nonmarkov_sweep_0.csv"
+        assert json.loads(capsys.readouterr().out)["outputs"] == [str(out_file)]
+        assert len(out_file.read_text().splitlines()) == 2 + 10
+
+    def test_representative_is_largest_coherent_p(self):
+        result = scenarios.run_scenario("nonmarkov_sweep", {
+            "p_grid": [0.5, 0.25], "n_steps": 4, "bound_steps": 2})
+        cfg = result.trajectory.config
+        assert (cfg.aa_mode, cfg.aa_swap_prob) == ("coherent", 0.5)
+        result = scenarios.run_scenario("nonmarkov_sweep", {
+            "p_grid": [0.5, 0.25], "modes": ["incoherent"], "n_steps": 4,
+            "bound_steps": 2})
+        cfg = result.trajectory.config
+        assert (cfg.aa_mode, cfg.aa_swap_prob) == ("incoherent", 0.25)
+
+    def test_nan_theta_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"overrides": {"theta": NaN, "n_steps": 10}}')
+        code = cli.main(["thermalization", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "coupling" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 9, "overrides": {"n_steps": 60}}))
