@@ -11,9 +11,14 @@ system plus the fresh unit when ancilla-ancilla collisions are on), so it
 carries at most the system and two live ancillas; ``full`` keeps every
 ancilla in one joint state and serves as the exact small-instance oracle.
 
+The loop propagates a stack of B initial system states at once, under one
+configuration and one coin sequence: every state carries a leading batch
+axis, and the per-step ledger is computed once per step for the whole
+stack.  ``run_stack`` returns the stack; ``run`` is a stack of one.
+
 Step ordering: append fresh unit, ancilla-ancilla collision between the
 carried and fresh unit, system-fresh collision, erasure, integrity check,
-retention.  Every collision is a local gate: its two-site unitary is
+ledger, retention.  Every collision is a local gate: its two-site unitary is
 contracted into the joint state's factors (``linalg.conjugate`` with
 targets), never lifted to the whole space.  The integrity check tests
 the eigenvalue floor with a Cholesky factorization and computes the
@@ -34,6 +39,10 @@ from .errors import ConfigError, IntegrityError
 
 PSD_ABORT = -1e-8   # eigenvalue floor beyond which a run aborts
 AA_MODES = ("off", "coherent", "incoherent")
+# the per-collision quantities of a CollisionRecord, in declaration order
+LEDGER_FIELDS = ("E_S_pre", "E_S_post", "E_anc_pre", "E_anc_post", "Q", "W",
+                 "S_S_pre", "S_S_post", "S_anc_pre", "S_anc_post", "I_SE",
+                 "Sigma", "D_env_relent")
 
 
 def swap_unitary(dim: int) -> np.ndarray:
@@ -133,6 +142,9 @@ class CollisionConfig:
                 raise ConfigError("interaction matrix is not Hermitian")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
+        if isinstance(self.n_steps, bool) or \
+                not isinstance(self.n_steps, (int, np.integer)):
+            raise ConfigError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if not 0.0 <= self.aa_swap_prob <= 1.0:
@@ -199,13 +211,44 @@ class Trajectory:
     config: CollisionConfig
     records: list[CollisionRecord]
     snapshots: list[np.ndarray] | None = None       # len n_steps + 1
-    final_joint: np.ndarray | None = None           # full backend only
     joint_snapshots: list[np.ndarray] | None = None  # full backend, len n_steps + 1
     anc_dims: list[int] = field(default_factory=list)  # ancilla dim per step
 
     def joint_dims(self, step: int) -> list[int]:
         """Factor dimensions of the joint snapshot after ``step`` collisions."""
         return [self.config.system_dim] + self.anc_dims[:step]
+
+
+@dataclass
+class TrajectoryStack:
+    """B trajectories propagated under one channel realization.
+
+    ``ledger`` maps each name in ``LEDGER_FIELDS`` to an (n_steps, B)
+    array; ``snapshots`` has shape (n_steps + 1, B, d_S, d_S) and each
+    joint snapshot is a (B, D, D) stack.
+    """
+    config: CollisionConfig
+    inits: np.ndarray                                # (B, d_S, d_S)
+    ledger: dict[str, np.ndarray]
+    snapshots: np.ndarray | None = None
+    joint_snapshots: list[np.ndarray] | None = None  # full backend
+    anc_dims: list[int] = field(default_factory=list)
+
+    def member(self, b: int) -> Trajectory:
+        """The trajectory of stack member ``b``."""
+        cfg = self.config
+        records = []
+        columns = (self.ledger[name][:, b].tolist() for name in LEDGER_FIELDS)
+        for k, row in enumerate(zip(*columns)):
+            si, st = cfg.stream_for_step(k)
+            records.append(CollisionRecord(step=k, stream=si, role=st.role,
+                                           **dict(zip(LEDGER_FIELDS, row))))
+        return Trajectory(
+            config=replace(cfg, system_init=self.inits[b]), records=records,
+            snapshots=None if self.snapshots is None else list(self.snapshots[:, b]),
+            joint_snapshots=None if self.joint_snapshots is None
+            else [j[b] for j in self.joint_snapshots],
+            anc_dims=self.anc_dims)
 
 
 def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
@@ -268,29 +311,68 @@ def system_channel(cfg: CollisionConfig, stream: int = 0):
     return channel
 
 
-def _expect(h: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(h @ rho).real)
+def _expect(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return np.trace(h @ rho, axis1=-2, axis2=-1).real
 
 
 def _integrity(joint: np.ndarray, step: int) -> np.ndarray:
-    """Hermitize, check the eigenvalue floor, renormalize the trace.
+    """Check finiteness, hermitize, check the eigenvalue floor, renormalize.
 
-    The Cholesky factorization of joint - PSD_ABORT I exists exactly when
-    the smallest eigenvalue exceeds PSD_ABORT; only when it fails is the
-    spectrum computed, so rounding at the boundary never aborts a run.
+    ``joint`` is one state or a stack (..., d, d), checked by a single
+    Cholesky factorization of joint - PSD_ABORT I.  It exists exactly when
+    every member's smallest eigenvalue exceeds PSD_ABORT; only when it
+    fails are the spectra computed, so rounding at the boundary never
+    aborts a run.  An abort names the step and the first failing member.
     """
+    d = joint.shape[-1]
+    finite = np.isfinite(joint.reshape(-1, d * d)).all(axis=1)
+    if not finite.all():
+        raise IntegrityError(f"state has non-finite entries at step {step}, "
+                             f"stack member {np.argmin(finite)}")
     joint = linalg.hermitize(joint)
-    if not np.all(np.isfinite(joint)):
-        raise IntegrityError(f"state has non-finite entries at step {step}")
     try:
-        np.linalg.cholesky(joint - PSD_ABORT * np.eye(len(joint)))
+        np.linalg.cholesky(joint - PSD_ABORT * np.eye(d))
     except np.linalg.LinAlgError:
-        vals = np.linalg.eigvalsh(joint)
-        if vals[0] < PSD_ABORT:
+        low = np.linalg.eigvalsh(joint.reshape(-1, d, d))[:, 0]
+        bad = np.flatnonzero(low < PSD_ABORT)
+        if bad.size:
             raise IntegrityError(
-                f"state lost positivity at step {step}: "
-                f"min eigenvalue {vals[0]:.3g}") from None
-    return joint / np.trace(joint).real
+                f"state lost positivity at step {step}, stack member {bad[0]}: "
+                f"min eigenvalue {low[bad[0]]:.3g}") from None
+    return joint / np.trace(joint, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _ledger(cfg: CollisionConfig, step: int, st: AncillaStream, pre_s, pre_e,
+            post_s, post_e, pair, aa_active: bool) -> tuple[np.ndarray, ...]:
+    """The ledger of one collision for every stack member.
+
+    Returns one (B,) array per name in ``LEDGER_FIELDS``, in that order.
+
+    A reduced state outside the entropy code's eigenvalue clamp window is a
+    broken propagated state, so it aborts with ``IntegrityError``.
+    """
+    base = cfg.log_base
+    e_s_pre = _expect(cfg.system_hamiltonian, pre_s)
+    e_s_post = _expect(cfg.system_hamiltonian, post_s)
+    e_a_pre = _expect(st.hamiltonian, pre_e)
+    e_a_post = _expect(st.hamiltonian, post_e)
+    q = e_a_post - e_a_pre
+    try:
+        s_s_pre = qstate.von_neumann_entropy(pre_s, base)
+        s_s_post = qstate.von_neumann_entropy(post_s, base)
+        s_a_pre = qstate.von_neumann_entropy(pre_e, base)
+        s_a_post = qstate.von_neumann_entropy(post_e, base)
+        d_rel = qstate.relative_entropy(post_e, pre_e, base)
+        i_se = qstate.mutual_information(pair, [cfg.system_dim, st.dim], 1, base)
+    except ConfigError as exc:
+        raise IntegrityError(f"reduced state broken at step {step}: {exc}") from exc
+    if st.beta is not None and not aa_active:
+        # thermal fresh unit: Sigma = dS_S + beta Q equals I_SE + D_relent
+        sigma = (s_s_post - s_s_pre) + st.beta * q / math.log(base)
+    else:
+        sigma = (s_s_post - s_s_pre) + (s_a_post - s_a_pre)
+    return (e_s_pre, e_s_post, e_a_pre, e_a_post, q, (e_s_post - e_s_pre) + q,
+            s_s_pre, s_s_post, s_a_pre, s_a_post, i_se, sigma, d_rel)
 
 
 class _Runner:
@@ -307,41 +389,19 @@ class _Runner:
         else:
             self.coins = np.zeros(cfg.n_steps)
 
-    def _record(self, step, stream_idx, st, pre_s, pre_e, post_s, post_e,
-                i_se, aa_active):
-        cfg = self.cfg
-        base = cfg.log_base
-        e_s_pre = _expect(cfg.system_hamiltonian, pre_s)
-        e_s_post = _expect(cfg.system_hamiltonian, post_s)
-        e_a_pre = _expect(st.hamiltonian, pre_e)
-        e_a_post = _expect(st.hamiltonian, post_e)
-        q = e_a_post - e_a_pre
-        w = (e_s_post - e_s_pre) + q
-        s_s_pre = qstate.von_neumann_entropy(pre_s, base)
-        s_s_post = qstate.von_neumann_entropy(post_s, base)
-        s_a_pre = qstate.von_neumann_entropy(pre_e, base)
-        s_a_post = qstate.von_neumann_entropy(post_e, base)
-        d_rel = qstate.relative_entropy(post_e, pre_e, base)
-        if st.beta is not None and not aa_active:
-            # thermal fresh unit: Sigma = dS_S + beta Q equals I_SE + D_relent
-            sigma = (s_s_post - s_s_pre) + st.beta * q / math.log(base)
-        else:
-            sigma = (s_s_post - s_s_pre) + (s_a_post - s_a_pre)
-        return CollisionRecord(
-            step=step, stream=stream_idx, role=st.role,
-            E_S_pre=e_s_pre, E_S_post=e_s_post,
-            E_anc_pre=e_a_pre, E_anc_post=e_a_post, Q=q, W=w,
-            S_S_pre=s_s_pre, S_S_post=s_s_post,
-            S_anc_pre=s_a_pre, S_anc_post=s_a_post,
-            I_SE=i_se, Sigma=sigma, D_env_relent=d_rel)
-
-    def run(self) -> Trajectory:
+    def run(self, inits: np.ndarray) -> TrajectoryStack:
+        """Propagate the (B, d_S, d_S) stack ``inits``."""
         cfg = self.cfg
         full = cfg.backend == "full"
-        joint = cfg.system_init.copy()
+        joint = inits = np.array(inits, dtype=complex)
         dims = [cfg.system_dim]
-        records, anc_dims = [], []
-        snapshots = [joint.copy()] if cfg.keep_snapshots else None
+        anc_dims = []
+        # preallocated: a list of per-step arrays costs far more memory
+        ledger = np.empty((len(LEDGER_FIELDS), cfg.n_steps, len(inits)))
+        snapshots = None
+        if cfg.keep_snapshots:
+            snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
+            snapshots[0] = inits
         joints = [joint] if full and cfg.keep_joint_snapshots else None
         for k in range(cfg.n_steps):
             si, st = cfg.stream_for_step(k)
@@ -362,12 +422,10 @@ class _Runner:
             post_s = linalg.partial_trace(joint, dims, [0])
             post_e = linalg.partial_trace(joint, dims, [fresh])
             pair = linalg.partial_trace(joint, dims, [0, fresh])
-            i_se = qstate.mutual_information(pair, [cfg.system_dim, st.dim], 1,
-                                             cfg.log_base)
-            records.append(self._record(k, si, st, pre_s, pre_e, post_s, post_e,
-                                        i_se, aa_active))
+            ledger[:, k] = _ledger(cfg, k, st, pre_s, pre_e, post_s, post_e, pair,
+                                   aa_active)
             if snapshots is not None:
-                snapshots.append(post_s)
+                snapshots[k + 1] = post_s
             # retention: full keeps everything, windowed only what the next
             # step can touch
             if full:
@@ -377,14 +435,31 @@ class _Runner:
                 joint, dims = post_s, [cfg.system_dim]
             else:
                 joint, dims = pair, [cfg.system_dim, st.dim]
-        return Trajectory(config=cfg, records=records, snapshots=snapshots,
-                          final_joint=joint if full else None,
-                          joint_snapshots=joints, anc_dims=anc_dims)
+        return TrajectoryStack(
+            config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
+            snapshots=snapshots, joint_snapshots=joints, anc_dims=anc_dims)
 
 
 def run(cfg: CollisionConfig, coins: np.ndarray | None = None) -> Trajectory:
-    """Run a configured collision-model trajectory."""
-    return _Runner(cfg, coins).run()
+    """Run a configured collision-model trajectory: a stack of one."""
+    runner = _Runner(cfg, coins)
+    return runner.run(np.asarray(cfg.system_init, dtype=complex)[None]).member(0)
+
+
+def run_stack(cfg: CollisionConfig, inits) -> TrajectoryStack:
+    """Propagate a (B, d_S, d_S) stack of initial system states together.
+
+    Every member goes through the same collisions and, in incoherent mode,
+    the same coins, so the members share one channel realization;
+    ``cfg.system_init`` is not used beyond validation.
+    """
+    inits = np.asarray(inits, dtype=complex)
+    if inits.ndim != 3 or inits.shape[1:] != (cfg.system_dim, cfg.system_dim):
+        raise ConfigError(f"initial states must have shape (B, {cfg.system_dim}, "
+                          f"{cfg.system_dim}), got {inits.shape}")
+    for rho in inits:
+        qstate.validate_density_matrix(rho)
+    return _Runner(cfg).run(inits)
 
 
 def run_paired(cfg: CollisionConfig, init_a: np.ndarray, init_b: np.ndarray):

@@ -5,7 +5,9 @@ Hamiltonian-generated unitaries, commutators, operator embedding and
 conjugation by an operator on a subset of factors.
 All operators are plain ``numpy.ndarray`` in row-major order; subsystem
 index 0 is always the system, ascending indices are later ancillas, and
-``kron`` composes left-to-right in that order.
+``kron`` composes left-to-right in that order.  ``kron``, ``hermitize``,
+``partial_trace``, ``herm_eig`` and ``conjugate`` also take stacks of
+shape ``(..., d, d)`` and act on each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -26,30 +28,36 @@ EYE2 = np.eye(2, dtype=complex)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Tensor product of one or more operators, left to right."""
+    """Tensor product of one or more operators, left to right.
+
+    Leading axes of stacked operators broadcast against each other.
+    """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (out.shape[-2] * op.shape[-2],
+                                              out.shape[-1] * op.shape[-1]))
     return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a†)/2."""
-    return (a + a.conj().T) / 2
+    return (a + dagger(a)) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - dagger(a))) <= tol)
 
 
 def _check_square(a: np.ndarray) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
+    return a.shape[-1]
 
 
 def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
@@ -67,13 +75,14 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     keep = sorted(set(keep))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ConfigError(f"bad keep set {keep} for {n} factors")
-    t = m.reshape(dims + dims)
-    k = n
+    batch = m.shape[:-2]
+    t = m.reshape(batch + tuple(dims + dims))
+    b, k = len(batch), n
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + k)
+        t = np.trace(t, axis1=b + ax, axis2=b + ax + k)
         k -= 1
     dk = math.prod(dims[i] for i in keep)
-    return t.reshape(dk, dk)
+    return t.reshape(batch + (dk, dk))
 
 
 def herm_eig(h: np.ndarray, tol: float = TOL_HERM):
@@ -87,7 +96,7 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM):
     if not is_hermitian(h, tol):
         raise ConfigError(
             f"matrix is not Hermitian within {tol:g} "
-            f"(deviation {np.max(np.abs(h - h.conj().T)):.3g})"
+            f"(deviation {np.max(np.abs(h - dagger(h))):.3g})"
         )
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
@@ -144,7 +153,8 @@ def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int] | None = None,
     ``rho`` (in that order, identity elsewhere, as in ``embed_operator``)
     without building the lift: u (x) conj(u) is contracted into the ket and
     bra axes of the targets in one pass.  Targets that are all the factors
-    in order give the dense product.
+    in order give the dense product.  A stack ``rho`` of shape
+    ``(..., d, d)`` is conjugated member by member.
     """
     if targets is None or list(targets) == list(range(len(dims))):
         return u @ rho @ u.conj().T
@@ -156,7 +166,8 @@ def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int] | None = None,
         raise ConfigError(f"operator shape {u.shape} does not match targets {targets}")
     u_t = u.reshape(t_dims * 2)
     sup = np.multiply.outer(u_t, u_t.conj())  # axes: ket out, ket in, bra out, bra in
-    kets_bras = targets + [n + i for i in targets]
-    t = np.tensordot(sup, rho.reshape(dims * 2),
+    batch = rho.shape[:-2]
+    kets_bras = [len(batch) + i for i in targets + [n + i for i in targets]]
+    t = np.tensordot(sup, rho.reshape(batch + tuple(dims * 2)),
                      axes=([*range(m, 2 * m), *range(3 * m, 4 * m)], kets_bras))
     return np.moveaxis(t, range(2 * m), kets_bras).reshape(rho.shape)

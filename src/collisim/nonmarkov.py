@@ -7,6 +7,11 @@ quantified by summing positive increments along the series (discrete BLP
 construction) and every revival is bounded by environment-state change
 plus the two system-environment correlation terms, evaluated here on the
 full-state oracle backend.
+
+The search for the most non-Markovian pair propagates each row of its
+Bloch grid (one value of cos theta) as a single stack through the
+collision loop, so every pair shares the channel realization, and scores
+all pairs of the row from one stacked distance series.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, qstate
-from .engine import CollisionConfig, Trajectory, run_paired
+from .engine import CollisionConfig, Trajectory, run_paired, run_stack
 from .errors import ConfigError
 
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
@@ -34,19 +39,22 @@ def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory,
     """Pointwise metric between the system snapshots of two trajectories."""
     if traj_a.snapshots is None or traj_b.snapshots is None:
         raise ConfigError("paired trajectories must retain snapshots")
-    base = traj_a.config.log_base
-    vals = np.array([qstate.state_distance(a, b, metric, base)
-                     for a, b in zip(traj_a.snapshots, traj_b.snapshots)])
+    vals = qstate.state_distance(np.array(traj_a.snapshots), np.array(traj_b.snapshots),
+                                 metric, traj_a.config.log_base)
     return DistinguishabilitySeries(metric=metric, values=vals)
 
 
-def blp_measure(series, threshold: float = REVIVAL_THRESHOLD) -> float:
-    """Sum of positive increments of a distinguishability series."""
+def blp_measure(series, threshold: float = REVIVAL_THRESHOLD):
+    """Sum of positive increments of a distinguishability series.
+
+    A 2-D array holds one series per column and gives one sum per column.
+    """
     vals = series.values if isinstance(series, DistinguishabilitySeries) else np.asarray(series)
     if len(vals) < 2:
         raise ConfigError("series needs at least two points")
-    inc = np.diff(vals)
-    return float(inc[inc > threshold].sum())
+    inc = np.diff(vals, axis=0)
+    total = np.where(inc > threshold, inc, 0.0).sum(axis=0)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def first_revival_step(series, threshold: float = REVIVAL_THRESHOLD) -> int | None:
@@ -67,7 +75,10 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
     """Maximize the BLP sum over antipodal pure-state pairs on a Bloch grid.
 
     The grid is uniform in (cos theta, phi) to avoid pole clustering;
-    resolution 1 degenerates to exactly the (|0>, |1>) pair.
+    resolution 1 degenerates to exactly the (|0>, |1>) pair.  Each row of
+    the grid runs as one stack: its 2 res states followed by their
+    antipodes.  Pairs are visited row by row and a pair replaces the best
+    only when it scores strictly higher.
     Returns ((rho_a, rho_b), value).
     """
     if cfg.system_dim != 2:
@@ -77,12 +88,15 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
     else:
         u_vals = np.linspace(1.0, 0.0, grid_resolution)  # antipodal pairs: u >= 0 suffices
         phi_vals = np.linspace(0.0, 2 * math.pi, 2 * grid_resolution, endpoint=False)
+    cfg = replace(cfg, keep_snapshots=True)
     best, best_pair = -1.0, None
     for u in u_vals:
-        for phi in phi_vals:
-            pair = antipodal_pair(math.acos(u), phi)
-            traj_a, traj_b = run_paired(replace(cfg, pair_metric=metric), *pair)
-            val = blp_measure(distinguishability_series(traj_a, traj_b, metric))
+        pairs = [antipodal_pair(math.acos(u), phi) for phi in phi_vals]
+        stack = run_stack(cfg, [a for a, _ in pairs] + [b for _, b in pairs])
+        half = len(pairs)
+        series = qstate.state_distance(stack.snapshots[:, :half], stack.snapshots[:, half:],
+                                       metric, cfg.log_base)
+        for pair, val in zip(pairs, blp_measure(series).tolist()):
             if val > best:
                 best, best_pair = val, pair
     return best_pair, best

@@ -4,6 +4,10 @@ States are plain density matrices (Hermitian, unit trace, PSD up to
 rounding).  Entropic quantities take a ``base`` argument; the default is
 base 2 so entropies read in bits and the Jensen-Shannon distance lives in
 [0, 1].  Mixed-base bugs are avoided by threading one base through a run.
+
+The entropies, distances and the mutual information also take stacks of
+shape ``(..., d, d)``: one matrix gives a float, a stack gives an array
+with one value per member.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .errors import ConfigError
 
 EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, 0) are treated as 0
 SUPPORT_CUTOFF = 1e-12  # sigma eigenvalues below this count as outside support
+_TINY = np.finfo(float).tiny
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -65,50 +70,55 @@ def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
     return (vecs * p) @ vecs.conj().T
 
 
+def _value(x):
+    """A float for a single matrix's result, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _clamped_eigvals(rho: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(linalg.hermitize(np.asarray(rho, dtype=complex)))
-    if vals[0] < -EIG_CLAMP:
-        raise ConfigError(f"eigenvalue {vals[0]:.3g} below clamp window; broken upstream state")
-    return np.clip(vals, 0.0, None)
+    if (vals[..., 0] < -EIG_CLAMP).any():
+        raise ConfigError(f"eigenvalue {vals[..., 0].min():.3g} below clamp window; "
+                          "broken upstream state")
+    return np.maximum(vals, 0.0)
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise for p >= 0; 0 log 0 = 0 since the log stays finite."""
+    return p * np.log(np.maximum(p, _TINY))
+
+
+def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """-Tr rho log rho with 0 log 0 = 0."""
-    vals = _clamped_eigvals(rho)
-    nz = vals[vals > 0]
-    return float(-(nz * np.log(nz)).sum() / np.log(base))
+    return _value(-_xlogx(_clamped_eigvals(rho)).sum(axis=-1) / np.log(base))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
     """(1/2) Tr |rho - sigma|."""
     if rho.shape != sigma.shape:
         raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
     diff = linalg.hermitize(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
     vals = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.abs(vals).sum())
+    return _value(0.5 * np.abs(vals).sum(axis=-1))
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
     """Tr rho (log rho - log sigma); +inf when rho leaks out of sigma's support."""
     if rho.shape != sigma.shape:
         raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
     r_vals, r_vecs = linalg.herm_eig(linalg.hermitize(np.asarray(rho, dtype=complex)))
     s_vals, s_vecs = linalg.herm_eig(linalg.hermitize(np.asarray(sigma, dtype=complex)))
-    r_vals = np.clip(r_vals, 0.0, None)
-    overlap = np.abs(r_vecs.conj().T @ s_vecs) ** 2  # (i, j) -> |<r_i|s_j>|^2
-    outside = s_vals < SUPPORT_CUTOFF
-    if np.any(outside):
-        leak = float(r_vals @ overlap[:, outside].sum(axis=1))
-        if leak > 1e-10:
-            return math.inf
-    nz = r_vals > 0
-    term1 = float((r_vals[nz] * np.log(r_vals[nz])).sum())
-    inside = ~outside
-    term2 = float(r_vals @ (overlap[:, inside] @ np.log(s_vals[inside])))
-    return (term1 - term2) / math.log(base)
+    r_vals = np.maximum(r_vals, 0.0)
+    overlap = np.abs(linalg.dagger(r_vecs) @ s_vecs) ** 2  # (i, j) -> |<r_i|s_j>|^2
+    weight = (r_vals[..., None, :] @ overlap)[..., 0, :]  # rho's weight on each s_j
+    inside = s_vals >= SUPPORT_CUTOFF
+    leak = np.where(inside, 0.0, weight).sum(axis=-1)
+    log_s = np.where(inside, np.log(np.maximum(s_vals, SUPPORT_CUTOFF)), 0.0)
+    rel = (_xlogx(r_vals).sum(axis=-1) - (weight * log_s).sum(axis=-1)) / math.log(base)
+    return _value(np.where(leak > 1e-10, math.inf, rel))
 
 
-def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0) -> float:
+def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
     """Square root of the Jensen-Shannon divergence.
 
     (1/sqrt 2) [S(rho||m) + S(sigma||m)]^(1/2) with m the equal mixture;
@@ -116,11 +126,11 @@ def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0) -> float:
     """
     mid = (np.asarray(rho, dtype=complex) + np.asarray(sigma, dtype=complex)) / 2
     div = relative_entropy(rho, mid, base) + relative_entropy(sigma, mid, base)
-    return math.sqrt(max(div, 0.0) / 2.0)
+    return _value(np.sqrt(np.maximum(div, 0.0) / 2.0))
 
 
 def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",
-                   base: float = 2.0) -> float:
+                   base: float = 2.0):
     """Dispatch between the two contractive metrics used in the package."""
     if metric == "trace":
         return trace_distance(rho, sigma)
@@ -130,7 +140,7 @@ def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",
 
 
 def mutual_information(rho_ab: np.ndarray, dims: list[int], split: int,
-                       base: float = 2.0) -> float:
+                       base: float = 2.0):
     """S(A) + S(B) - S(AB) across the bipartition dims[:split] | dims[split:]."""
     n = len(dims)
     if not 0 < split < n:

@@ -225,6 +225,7 @@ def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
     cfg = _two_qubit_config(p, seed, log_base)
     traj = run(cfg)
     w = p["window"]
+    fluxes = thermo.steady_state_fluxes(traj, w)  # validates the window first
     tail = traj.records[-w:]
     q_hot = float(np.mean([r.Q for r in tail if r.stream == 0]))
     q_cold = float(np.mean([r.Q for r in tail if r.stream == 1]))
@@ -233,7 +234,6 @@ def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
     db = [thermo.detailed_balance_report(
         cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
         for i in range(2)]
-    fluxes = thermo.steady_state_fluxes(traj, w)
     summary = {
         "params": p, "seed": seed, "log_base": log_base,
         "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": w_rate,

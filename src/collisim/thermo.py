@@ -123,8 +123,14 @@ def build_ledger(traj: Trajectory) -> ThermoLedger:
     )
 
 
+def _check_window(window) -> None:
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise ConfigError(f"window must be an integer >= 1, got {window!r}")
+
+
 def steady_state_drift(traj: Trajectory, window: int = STEADY_WINDOW) -> float:
     """Largest trace distance between successive system snapshots in the window."""
+    _check_window(window)
     if traj.snapshots is None or len(traj.snapshots) < window + 1:
         raise ConfigError("trajectory too short (or missing snapshots) for the window")
     tail = traj.snapshots[-(window + 1):]
@@ -142,6 +148,7 @@ class FluxReport:
 def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW,
                         tol: float = STEADY_DRIFT) -> FluxReport:
     """Windowed per-collision averages of heat and work near the end of a run."""
+    _check_window(window)
     recs = traj.records
     if len(recs) < 2 * window:
         raise ConfigError("trajectory too short for two flux windows")

@@ -9,7 +9,7 @@ from collisim import engine, linalg, qstate
 from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
                              collision_unitary, erase_correlations,
                              partial_swap_interaction, partial_swap_unitary, run,
-                             run_paired, swap_unitary, system_channel)
+                             run_paired, run_stack, swap_unitary, system_channel)
 from collisim.errors import ConfigError, IntegrityError
 from conftest import random_density_matrix, random_hermitian
 
@@ -177,10 +177,10 @@ class TestRun:
             qubit_config(n_steps=4, backend="full", full_factor_cap=4).validate()
 
     def test_full_backend_retains_joint(self):
-        cfg = qubit_config(n_steps=3, backend="full")
+        cfg = qubit_config(n_steps=3, backend="full", keep_joint_snapshots=True)
         traj = run(cfg)
-        assert traj.final_joint.shape == (16, 16)
-        qstate.validate_density_matrix(traj.final_joint)
+        assert traj.joint_snapshots[-1].shape == (16, 16)
+        qstate.validate_density_matrix(traj.joint_snapshots[-1])
 
 
 class TestChannelProperty:
@@ -332,6 +332,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             cfg.validate()
 
+    @pytest.mark.parametrize("n_steps", [10.5, "10", True, None])
+    def test_non_integer_n_steps_names_field(self, n_steps):
+        with pytest.raises(ConfigError, match="n_steps"):
+            qubit_config(n_steps=n_steps).validate()
+
+    def test_numpy_integer_n_steps_accepted(self):
+        qubit_config(n_steps=np.int64(3)).validate()
+
     def test_aa_needs_single_stream(self):
         h = SZ / 2
         stream = AncillaStream(2, h, qstate.thermal_state(h, 1.0), beta=1.0)
@@ -373,3 +381,102 @@ class TestIntegrity:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         out = engine._integrity(state_with_min_eig(-9e-9), 0)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_stack_names_the_failing_member(self):
+        stack = np.array([state_with_min_eig(m) for m in (0.01, -1e-9, -1e-6, -1e-5)])
+        with pytest.raises(IntegrityError, match=r"step 4, stack member 2: .*-1e-06"):
+            engine._integrity(stack, 4)
+
+    def test_stack_names_the_non_finite_member(self):
+        stack = np.array([state_with_min_eig(0.01)] * 3)
+        stack[1, 2, 3] = np.inf
+        with pytest.raises(IntegrityError, match="step 0, stack member 1"):
+            engine._integrity(stack, 0)
+
+    def test_stack_renormalizes_each_member(self):
+        stack = np.array([state_with_min_eig(0.01, trace=t) for t in (0.5, 2.0, 3.0)])
+        out = engine._integrity(stack, 0)
+        assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-14, rtol=0)
+
+
+class TestLedger:
+    def reduced_states(self):
+        rng = np.random.default_rng(4)
+        pair = np.array([random_density_matrix(rng, 4) for _ in range(3)])
+        post_s = linalg.partial_trace(pair, [2, 2], [0])
+        post_e = linalg.partial_trace(pair, [2, 2], [1])
+        return post_s.copy(), post_e.copy(), post_s, post_e, pair
+
+    def test_eigenvalue_below_clamp_is_integrity_error(self):
+        # -1e-9 passes the PSD_ABORT floor of the joint state but lies below
+        # the entropy code's clamp window: a broken state, not bad input
+        cfg = qubit_config()
+        pre_s, pre_e, post_s, post_e, pair = self.reduced_states()
+        post_s[1] = np.diag([1.0 + 1e-9, -1e-9])
+        assert engine.PSD_ABORT < -1e-9 < -qstate.EIG_CLAMP
+        with pytest.raises(IntegrityError, match="step 7"):
+            engine._ledger(cfg, 7, cfg.streams[0], pre_s, pre_e, post_s, post_e,
+                           pair, False)
+
+    def test_fields_per_member(self):
+        cfg = qubit_config()
+        states = self.reduced_states()
+        ledger = engine._ledger(cfg, 0, cfg.streams[0], *states, False)
+        assert len(ledger) == len(engine.LEDGER_FIELDS)
+        assert all(v.shape == (3,) for v in ledger)
+
+
+def random_stack(rng, n=5, dim=2):
+    return np.array([random_density_matrix(rng, dim) for _ in range(n)])
+
+
+class TestRunStack:
+    @pytest.mark.parametrize("backend", ["windowed", "full"])
+    @pytest.mark.parametrize("mode,p", [("off", 0.0), ("coherent", 0.6),
+                                        ("incoherent", 0.5)])
+    def test_members_match_single_runs(self, backend, mode, p):
+        cfg = qubit_config(theta=0.8, n_steps=5, aa_mode=mode, aa_swap_prob=p,
+                           erasure_lambda=0.8, rng_seed=11, backend=backend,
+                           keep_joint_snapshots=True)
+        inits = random_stack(np.random.default_rng(8))
+        stack = run_stack(cfg, inits)
+        for b, init in enumerate(inits):
+            member = stack.member(b)
+            single = run(replace(cfg, system_init=init))
+            pairs = list(zip(member.snapshots, single.snapshots))
+            if backend == "full":
+                pairs += list(zip(member.joint_snapshots, single.joint_snapshots))
+            else:
+                assert member.joint_snapshots is None
+            for a, c in pairs:
+                assert np.max(np.abs(a - c)) < 1e-12
+            assert len(member.records) == len(single.records) == 5
+            for ra, rc in zip(member.records, single.records):
+                for name, value in vars(rc).items():
+                    if isinstance(value, float):
+                        assert getattr(ra, name) == pytest.approx(value, abs=1e-12), name
+                    else:
+                        assert getattr(ra, name) == value, name
+            assert np.array_equal(member.config.system_init, init)
+
+    def test_two_streams_and_no_snapshots(self):
+        h = SZ / 2
+        streams = [AncillaStream(2, h, qstate.thermal_state(h, b), beta=b)
+                   for b in (0.5, 2.0)]
+        v = linalg.kron(SX, SX) + linalg.kron(SY, SY)
+        cfg = CollisionConfig(2, h, EXCITED, streams, [v, v], coupling=0.7,
+                              n_steps=4, keep_snapshots=False)
+        inits = random_stack(np.random.default_rng(9), n=3)
+        stack = run_stack(cfg, inits)
+        assert stack.snapshots is None
+        single = run(replace(cfg, system_init=inits[2]))
+        assert [r.stream for r in stack.member(2).records] == [0, 1, 0, 1]
+        assert stack.member(2).records[3].Q == pytest.approx(single.records[3].Q,
+                                                             abs=1e-12)
+
+    def test_rejects_bad_stack(self):
+        cfg = qubit_config()
+        with pytest.raises(ConfigError, match="shape"):
+            run_stack(cfg, EXCITED)
+        with pytest.raises(ConfigError):
+            run_stack(cfg, [EXCITED, 2 * GROUND])

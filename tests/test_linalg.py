@@ -212,3 +212,54 @@ class TestLocalConjugate:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             linalg.conjugate(np.eye(3), np.eye(8), [2, 2, 2], [0, 2])
+
+
+class TestStacks:
+    """Stacked (..., d, d) inputs agree with a loop over their members."""
+
+    def make_stack(self, dim, n=4, seed=17):
+        rng = np.random.default_rng(seed)
+        return np.array([random_density_matrix(rng, dim) for _ in range(n)])
+
+    def test_kron_broadcasts_leading_axes(self):
+        a, b = self.make_stack(2), self.make_stack(3, seed=18)
+        out = linalg.kron(a, b)
+        single = linalg.kron(a, SZ)
+        for i in range(len(a)):
+            assert np.array_equal(out[i], np.kron(a[i], b[i]))
+            assert np.array_equal(single[i], np.kron(a[i], SZ))
+
+    def test_hermitize(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        out = linalg.hermitize(a)
+        for i in range(3):
+            assert np.array_equal(out[i], (a[i] + a[i].conj().T) / 2)
+
+    @pytest.mark.parametrize("keep", [[0], [1], [2], [0, 2], [1, 2]])
+    def test_partial_trace(self, keep):
+        stack = self.make_stack(12)
+        out = linalg.partial_trace(stack, [2, 3, 2], keep)
+        for i in range(len(stack)):
+            assert np.array_equal(out[i], linalg.partial_trace(stack[i], [2, 3, 2], keep))
+
+    def test_partial_trace_two_batch_axes(self):
+        stack = self.make_stack(4, n=6).reshape(2, 3, 4, 4)
+        out = linalg.partial_trace(stack, [2, 2], [1])
+        assert out.shape == (2, 3, 2, 2)
+        assert np.array_equal(out[1, 2], linalg.partial_trace(stack[1, 2], [2, 2], [1]))
+
+    @pytest.mark.parametrize("dims,targets", [([2, 3, 2], [2, 0]), ([2, 2], [0, 1])])
+    def test_conjugate(self, dims, targets):
+        rng = np.random.default_rng(20)
+        d_t = int(np.prod([dims[i] for i in targets]))
+        u = rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))
+        stack = self.make_stack(int(np.prod(dims)))
+        out = linalg.conjugate(u, stack, dims, targets)
+        for i in range(len(stack)):
+            ref = linalg.conjugate(u, stack[i], dims, targets)
+            assert np.max(np.abs(out[i] - ref)) < 1e-14
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ConfigError):
+            linalg.partial_trace(np.zeros((3, 4, 2)), [2, 2], [0])

@@ -122,6 +122,36 @@ class TestPairOptimization:
             nonmarkov.blp_optimize_pairs(cfg)
 
 
+def reference_pair_scan(cfg, metric, resolution):
+    """Best BLP sum of the grid scan, as an explicit loop of paired runs."""
+    cfg = replace(cfg, pair_metric=metric)
+    return max(paired_blp(cfg, nonmarkov.antipodal_pair(math.acos(u), phi))
+               for u in np.linspace(1.0, 0.0, resolution)
+               for phi in np.linspace(0.0, 2 * math.pi, 2 * resolution, endpoint=False))
+
+
+def paired_blp(cfg, pair):
+    """BLP sum of one pair from the D_pair fields of a paired run."""
+    ta, _ = run_paired(cfg, *pair)
+    d = [qstate.state_distance(*pair, cfg.pair_metric)] + [r.D_pair for r in ta.records]
+    return sum(b - a for a, b in zip(d, d[1:]) if b - a > nonmarkov.REVIVAL_THRESHOLD)
+
+
+class TestStackedPairScan:
+    @pytest.mark.parametrize("resolution", [3, 4])
+    @pytest.mark.parametrize("metric", ["trace", "jensen-shannon"])
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    def test_matches_loop_of_paired_runs(self, mode, metric, resolution):
+        cfg = qubit_config(n_steps=10, aa_mode=mode, aa_swap_prob=0.5, rng_seed=3)
+        pair, value = nonmarkov.blp_optimize_pairs(cfg, metric, resolution)
+        expected = reference_pair_scan(cfg, metric, resolution)
+        assert value > 0.01
+        assert value == pytest.approx(expected, abs=1e-12)
+        # ties within rounding may pick another pair, but it attains the value
+        assert paired_blp(replace(cfg, pair_metric=metric), pair) == \
+            pytest.approx(value, abs=1e-12)
+
+
 class TestBoundReports:
     def test_markovian_revivals_never_positive(self):
         cfg = qubit_config(n_steps=6)

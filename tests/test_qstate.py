@@ -211,3 +211,49 @@ class TestMutualInformation:
         for _ in range(10):
             joint = random_density_matrix(rng, 4)
             assert qstate.mutual_information(joint, [2, 2], 1) >= -1e-9
+
+
+class TestStacks:
+    """One matrix gives a float; a stack gives one value per member."""
+
+    def make_pairs(self, dim=4, n=5):
+        rng = np.random.default_rng(21)
+        rho = np.array([random_density_matrix(rng, dim) for _ in range(n)])
+        sigma = np.array([random_density_matrix(rng, dim) for _ in range(n)])
+        # one rank-deficient sigma that rho leaks out of, and one pure rho
+        sigma[1] = qstate.pure_state(np.eye(dim)[0])
+        rho[2] = qstate.pure_state(np.arange(1, dim + 1))
+        return rho, sigma
+
+    @pytest.mark.parametrize("fn", [
+        lambda r, s: qstate.von_neumann_entropy(r),
+        lambda r, s: qstate.von_neumann_entropy(r, math.e),
+        lambda r, s: qstate.trace_distance(r, s),
+        lambda r, s: qstate.relative_entropy(r, s),
+        lambda r, s: qstate.relative_entropy(s, r),
+        lambda r, s: qstate.js_distance(r, s),
+        lambda r, s: qstate.state_distance(r, s, "jensen-shannon", math.e),
+        lambda r, s: qstate.mutual_information(r, [2, 2], 1),
+    ])
+    def test_stack_matches_members(self, fn):
+        rho, sigma = self.make_pairs()
+        out = fn(rho, sigma)
+        assert isinstance(out, np.ndarray) and out.shape == (len(rho),)
+        for i in range(len(rho)):
+            single = fn(rho[i], sigma[i])
+            assert isinstance(single, float)
+            if math.isinf(single):
+                assert out[i] == single
+            else:
+                assert out[i] == pytest.approx(single, abs=1e-14)
+
+    def test_leak_is_infinite_in_a_stack(self):
+        rho, sigma = self.make_pairs()
+        out = qstate.relative_entropy(rho, sigma)
+        assert math.isinf(out[1]) and np.all(np.isfinite(np.delete(out, 1)))
+
+    def test_negative_eigenvalue_in_any_member_is_rejected(self):
+        rho, _ = self.make_pairs()
+        rho[3] = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9])
+        with pytest.raises(ConfigError, match="-1e-09"):
+            qstate.von_neumann_entropy(rho)

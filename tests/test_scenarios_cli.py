@@ -162,6 +162,21 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "coupling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_steps", [10.5, "10", True])
+    def test_non_integer_n_steps_is_config_error(self, tmp_path, capsys, n_steps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"n_steps": n_steps}}))
+        code = cli.main(["battery", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "n_steps" in capsys.readouterr().err
+
+    def test_zero_window_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"window": 0}}))
+        code = cli.main(["battery", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "window" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 9, "overrides": {"n_steps": 60}}))

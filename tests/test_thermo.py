@@ -273,3 +273,12 @@ class TestSteadyStateDrift:
         cfg = make_config(partial_swap_interaction(2), n_steps=5)
         with pytest.raises(ConfigError):
             thermo.steady_state_drift(run(cfg), window=50)
+
+
+@pytest.mark.parametrize("window", [0, -3, 2.5, True, "10"])
+@pytest.mark.parametrize("fn", [thermo.steady_state_drift, thermo.steady_state_fluxes,
+                                thermo.landauer_report])
+def test_window_must_be_a_positive_integer(fn, window):
+    traj = run(make_config(linalg.kron(SX, SX), n_steps=20))
+    with pytest.raises(ConfigError, match="window"):
+        fn(traj, window)
