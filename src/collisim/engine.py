@@ -16,6 +16,10 @@ configuration and one coin sequence: every state carries a leading batch
 axis, and the per-step ledger is computed once per step for the whole
 stack.  ``run_stack`` returns the stack; ``run`` is a stack of one.
 
+The ledger is stored only as the loop computes it, one column per name in
+``LEDGER_FIELDS`` (plus ``D_pair`` for paired runs); ``Trajectory.records``
+is a read-only view that builds ``CollisionRecord`` rows from the columns.
+
 Step ordering: append fresh unit, ancilla-ancilla collision between the
 carried and fresh unit, system-fresh collision, erasure, integrity check,
 ledger, retention.  Every collision is a local gate: its two-site unitary is
@@ -23,14 +27,14 @@ contracted into the joint state's factors (``linalg.conjugate`` with
 targets), never lifted to the whole space.  The integrity check tests
 the eigenvalue floor with a Cholesky factorization and computes the
 spectrum only when that fails.  Incoherent ancilla-ancilla swaps consume
-exactly one RNG coin per step so paired runs can share a channel
-realization.
+exactly one coin per step, drawn from ``rng_seed``, so every run of one
+configuration (both runs of a pair, say) shares one channel realization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,12 +170,12 @@ class CollisionConfig:
                     f"full backend joint dimension {dim} exceeds cap "
                     f"{2 ** self.full_factor_cap}")
 
-    def stream_for_step(self, step: int) -> tuple[int, AncillaStream]:
-        i = step % len(self.streams)
-        return i, self.streams[i]
+    def stream_index(self) -> np.ndarray:
+        """The index of the stream each collision draws its unit from."""
+        return np.arange(self.n_steps) % len(self.streams)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollisionRecord:
     """Per-collision ledger entry."""
     step: int
@@ -207,16 +211,35 @@ class CollisionRecord:
 
 @dataclass
 class Trajectory:
-    """Ordered collision records plus per-step system snapshots."""
+    """Per-collision ledger columns plus per-step system snapshots.
+
+    ``ledger`` maps each name in ``LEDGER_FIELDS`` to an (n_steps,) array,
+    plus ``D_pair`` for paired runs; ``snapshots`` has shape
+    (n_steps + 1, d_S, d_S).
+    """
     config: CollisionConfig
-    records: list[CollisionRecord]
-    snapshots: list[np.ndarray] | None = None       # len n_steps + 1
+    ledger: dict[str, np.ndarray]
+    snapshots: np.ndarray | None = None
     joint_snapshots: list[np.ndarray] | None = None  # full backend, len n_steps + 1
-    anc_dims: list[int] = field(default_factory=list)  # ancilla dim per step
+
+    @property
+    def records(self) -> tuple[CollisionRecord, ...]:
+        """One read-only ``CollisionRecord`` per collision, built from the
+        columns on every access."""
+        streams = self.config.streams
+        names = [name for name in LEDGER_FIELDS + ("D_pair",) if name in self.ledger]
+        columns = [self.ledger[name].tolist() for name in names]
+        schedule = self.config.stream_index().tolist()
+        return tuple(
+            CollisionRecord(step=k, stream=si, role=streams[si].role,
+                            **dict(zip(names, row)))
+            for k, (si, *row) in enumerate(zip(schedule, *columns)))
 
     def joint_dims(self, step: int) -> list[int]:
         """Factor dimensions of the joint snapshot after ``step`` collisions."""
-        return [self.config.system_dim] + self.anc_dims[:step]
+        streams = self.config.streams
+        return [self.config.system_dim] + [
+            streams[i].dim for i in self.config.stream_index()[:step].tolist()]
 
 
 @dataclass
@@ -232,23 +255,15 @@ class TrajectoryStack:
     ledger: dict[str, np.ndarray]
     snapshots: np.ndarray | None = None
     joint_snapshots: list[np.ndarray] | None = None  # full backend
-    anc_dims: list[int] = field(default_factory=list)
 
     def member(self, b: int) -> Trajectory:
-        """The trajectory of stack member ``b``."""
-        cfg = self.config
-        records = []
-        columns = (self.ledger[name][:, b].tolist() for name in LEDGER_FIELDS)
-        for k, row in enumerate(zip(*columns)):
-            si, st = cfg.stream_for_step(k)
-            records.append(CollisionRecord(step=k, stream=si, role=st.role,
-                                           **dict(zip(LEDGER_FIELDS, row))))
+        """The trajectory of stack member ``b``: slices of the stack's arrays."""
         return Trajectory(
-            config=replace(cfg, system_init=self.inits[b]), records=records,
-            snapshots=None if self.snapshots is None else list(self.snapshots[:, b]),
+            config=replace(self.config, system_init=self.inits[b]),
+            ledger={name: column[:, b] for name, column in self.ledger.items()},
+            snapshots=None if self.snapshots is None else self.snapshots[:, b],
             joint_snapshots=None if self.joint_snapshots is None
-            else [j[b] for j in self.joint_snapshots],
-            anc_dims=self.anc_dims)
+            else [j[b] for j in self.joint_snapshots])
 
 
 def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
@@ -363,7 +378,7 @@ def _ledger(cfg: CollisionConfig, step: int, st: AncillaStream, pre_s, pre_e,
         s_a_pre = qstate.von_neumann_entropy(pre_e, base)
         s_a_post = qstate.von_neumann_entropy(post_e, base)
         d_rel = qstate.relative_entropy(post_e, pre_e, base)
-        i_se = qstate.mutual_information(pair, [cfg.system_dim, st.dim], 1, base)
+        i_se = (s_s_post + s_a_post) - qstate.von_neumann_entropy(pair, base)
     except ConfigError as exc:
         raise IntegrityError(f"reduced state broken at step {step}: {exc}") from exc
     if st.beta is not None and not aa_active:
@@ -375,75 +390,64 @@ def _ledger(cfg: CollisionConfig, step: int, st: AncillaStream, pre_s, pre_e,
             s_s_pre, s_s_post, s_a_pre, s_a_post, i_se, sigma, d_rel)
 
 
-class _Runner:
-    """The stepping loop shared by both backends."""
-
-    def __init__(self, cfg: CollisionConfig, coins: np.ndarray | None = None):
-        cfg.validate()
-        self.cfg = cfg
-        self.unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
-        if coins is not None:
-            self.coins = coins
-        elif cfg.aa_mode == "incoherent":
-            self.coins = np.random.default_rng(cfg.rng_seed).random(cfg.n_steps)
+def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
+    """The stepping loop of both backends, over the (B, d_S, d_S) stack ``inits``."""
+    cfg.validate()
+    unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
+    # drawn afresh from the seed on every run, so all runs of one config
+    # share one channel realization; drawn only where read, because
+    # importing numpy.random costs about 6 MB
+    coins = (np.random.default_rng(cfg.rng_seed).random(cfg.n_steps)
+             if cfg.aa_mode == "incoherent" else np.zeros(cfg.n_steps))
+    full = cfg.backend == "full"
+    joint = inits = np.array(inits, dtype=complex)
+    dims = [cfg.system_dim]
+    # preallocated: a list of per-step arrays costs far more memory
+    ledger = np.empty((len(LEDGER_FIELDS), cfg.n_steps, len(inits)))
+    snapshots = None
+    if cfg.keep_snapshots:
+        snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
+        snapshots[0] = inits
+    joints = [joint] if full and cfg.keep_joint_snapshots else None
+    for k, si in enumerate(cfg.stream_index().tolist()):
+        st = cfg.streams[si]
+        joint = linalg.kron(joint, st.init_state)
+        dims = dims + [st.dim]
+        fresh = len(dims) - 1
+        aa_active = cfg.aa_mode != "off" and fresh >= 2
+        if aa_active:
+            joint = apply_aa_collision(joint, dims, [fresh - 1, fresh],
+                                       cfg.aa_swap_prob, cfg.aa_mode,
+                                       cfg.aa_theta, coins[k])
+        pre_s = linalg.partial_trace(joint, dims, [0])
+        pre_e = linalg.partial_trace(joint, dims, [fresh])
+        joint = linalg.conjugate(unitaries[si], joint, dims, [0, fresh])
+        joint = erase_correlations(joint, dims, cfg.erasure_lambda)
+        joint = _integrity(joint, k)
+        post_s = linalg.partial_trace(joint, dims, [0])
+        post_e = linalg.partial_trace(joint, dims, [fresh])
+        pair = linalg.partial_trace(joint, dims, [0, fresh])
+        ledger[:, k] = _ledger(cfg, k, st, pre_s, pre_e, post_s, post_e, pair,
+                               aa_active)
+        if snapshots is not None:
+            snapshots[k + 1] = post_s
+        # retention: full keeps everything, windowed only what the next
+        # step can touch
+        if full:
+            if joints is not None:
+                joints.append(joint)
+        elif cfg.aa_mode == "off":
+            joint, dims = post_s, [cfg.system_dim]
         else:
-            self.coins = np.zeros(cfg.n_steps)
-
-    def run(self, inits: np.ndarray) -> TrajectoryStack:
-        """Propagate the (B, d_S, d_S) stack ``inits``."""
-        cfg = self.cfg
-        full = cfg.backend == "full"
-        joint = inits = np.array(inits, dtype=complex)
-        dims = [cfg.system_dim]
-        anc_dims = []
-        # preallocated: a list of per-step arrays costs far more memory
-        ledger = np.empty((len(LEDGER_FIELDS), cfg.n_steps, len(inits)))
-        snapshots = None
-        if cfg.keep_snapshots:
-            snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
-            snapshots[0] = inits
-        joints = [joint] if full and cfg.keep_joint_snapshots else None
-        for k in range(cfg.n_steps):
-            si, st = cfg.stream_for_step(k)
-            anc_dims.append(st.dim)
-            joint = linalg.kron(joint, st.init_state)
-            dims = dims + [st.dim]
-            fresh = len(dims) - 1
-            aa_active = cfg.aa_mode != "off" and fresh >= 2
-            if aa_active:
-                joint = apply_aa_collision(joint, dims, [fresh - 1, fresh],
-                                           cfg.aa_swap_prob, cfg.aa_mode,
-                                           cfg.aa_theta, self.coins[k])
-            pre_s = linalg.partial_trace(joint, dims, [0])
-            pre_e = linalg.partial_trace(joint, dims, [fresh])
-            joint = linalg.conjugate(self.unitaries[si], joint, dims, [0, fresh])
-            joint = erase_correlations(joint, dims, cfg.erasure_lambda)
-            joint = _integrity(joint, k)
-            post_s = linalg.partial_trace(joint, dims, [0])
-            post_e = linalg.partial_trace(joint, dims, [fresh])
-            pair = linalg.partial_trace(joint, dims, [0, fresh])
-            ledger[:, k] = _ledger(cfg, k, st, pre_s, pre_e, post_s, post_e, pair,
-                                   aa_active)
-            if snapshots is not None:
-                snapshots[k + 1] = post_s
-            # retention: full keeps everything, windowed only what the next
-            # step can touch
-            if full:
-                if joints is not None:
-                    joints.append(joint)
-            elif cfg.aa_mode == "off":
-                joint, dims = post_s, [cfg.system_dim]
-            else:
-                joint, dims = pair, [cfg.system_dim, st.dim]
-        return TrajectoryStack(
-            config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
-            snapshots=snapshots, joint_snapshots=joints, anc_dims=anc_dims)
+            joint, dims = pair, [cfg.system_dim, st.dim]
+    return TrajectoryStack(
+        config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
+        snapshots=snapshots, joint_snapshots=joints)
 
 
-def run(cfg: CollisionConfig, coins: np.ndarray | None = None) -> Trajectory:
+def run(cfg: CollisionConfig) -> Trajectory:
     """Run a configured collision-model trajectory: a stack of one."""
-    runner = _Runner(cfg, coins)
-    return runner.run(np.asarray(cfg.system_init, dtype=complex)[None]).member(0)
+    return _propagate(cfg, [cfg.system_init]).member(0)
 
 
 def run_stack(cfg: CollisionConfig, inits) -> TrajectoryStack:
@@ -459,28 +463,17 @@ def run_stack(cfg: CollisionConfig, inits) -> TrajectoryStack:
                           f"{cfg.system_dim}), got {inits.shape}")
     for rho in inits:
         qstate.validate_density_matrix(rho)
-    return _Runner(cfg).run(inits)
+    return _propagate(cfg, inits)
 
 
 def run_paired(cfg: CollisionConfig, init_a: np.ndarray, init_b: np.ndarray):
     """Run two trajectories under one channel realization (shared AA coins).
 
-    The per-step distinguishability of the two system states is filled
-    into ``D_pair`` of both record sequences, using ``cfg.pair_metric``.
+    The per-step distinguishability of the two system states, in
+    ``cfg.pair_metric``, is the ``D_pair`` column of both ledgers.
     """
-    qstate.validate_density_matrix(init_a)
-    qstate.validate_density_matrix(init_b)
-    if cfg.aa_mode == "incoherent":
-        coins = np.random.default_rng(cfg.rng_seed).random(cfg.n_steps)
-    else:
-        coins = np.zeros(cfg.n_steps)
-    cfg_a = replace(cfg, system_init=init_a, keep_snapshots=True)
-    cfg_b = replace(cfg, system_init=init_b, keep_snapshots=True)
-    traj_a = run(cfg_a, coins)
-    traj_b = run(cfg_b, coins)
-    for k in range(cfg.n_steps):
-        d = qstate.state_distance(traj_a.snapshots[k + 1], traj_b.snapshots[k + 1],
-                                  cfg.pair_metric, cfg.log_base)
-        traj_a.records[k].D_pair = d
-        traj_b.records[k].D_pair = d
+    traj_a = run(replace(cfg, system_init=init_a, keep_snapshots=True))
+    traj_b = run(replace(cfg, system_init=init_b, keep_snapshots=True))
+    traj_a.ledger["D_pair"] = traj_b.ledger["D_pair"] = qstate.state_distance(
+        traj_a.snapshots[1:], traj_b.snapshots[1:], cfg.pair_metric, cfg.log_base)
     return traj_a, traj_b

@@ -39,8 +39,8 @@ def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory,
     """Pointwise metric between the system snapshots of two trajectories."""
     if traj_a.snapshots is None or traj_b.snapshots is None:
         raise ConfigError("paired trajectories must retain snapshots")
-    vals = qstate.state_distance(np.array(traj_a.snapshots), np.array(traj_b.snapshots),
-                                 metric, traj_a.config.log_base)
+    vals = qstate.state_distance(traj_a.snapshots, traj_b.snapshots, metric,
+                                 traj_a.config.log_base)
     return DistinguishabilitySeries(metric=metric, values=vals)
 
 
@@ -146,11 +146,9 @@ def bound_report_from_pair(traj_a: Trajectory, traj_b: Trajectory, s: int, t: in
         raise ConfigError("bound report needs t >= s")
     if traj_a.joint_snapshots is None:
         raise ConfigError("bound report needs full-backend joint snapshots")
-    base = traj_a.config.log_base
-    d_t = qstate.state_distance(traj_a.snapshots[t], traj_b.snapshots[t], metric, base)
-    d_s = qstate.state_distance(traj_a.snapshots[s], traj_b.snapshots[s], metric, base)
+    dist = distinguishability_series(traj_a, traj_b, metric).values
     rhs_env, corr_a, corr_b = _bound_terms(traj_a, traj_b, s, metric)
-    return BoundReport(s=s, t=t, lhs=d_t - d_s, rhs_env=rhs_env,
+    return BoundReport(s=s, t=t, lhs=float(dist[t] - dist[s]), rhs_env=rhs_env,
                        rhs_corr_rho=corr_a, rhs_corr_sigma=corr_b)
 
 
@@ -167,28 +165,19 @@ def precursor_series(cfg: CollisionConfig, init_a, init_b, metric: str = "trace"
     Returns (env_term, corr_rho, corr_sigma) arrays of length n_steps + 1.
     """
     traj_a, traj_b = _full_paired(cfg, init_a, init_b)
-    env, c_a, c_b = [], [], []
-    for s in range(cfg.n_steps + 1):
-        e, a, b = _bound_terms(traj_a, traj_b, s, metric)
-        env.append(e)
-        c_a.append(a)
-        c_b.append(b)
-    return np.array(env), np.array(c_a), np.array(c_b)
+    terms = np.array([_bound_terms(traj_a, traj_b, s, metric)
+                      for s in range(cfg.n_steps + 1)])
+    return terms[:, 0], terms[:, 1], terms[:, 2]
 
 
 def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory,
                            metric: str = "trace") -> list[BoundReport]:
     """Exhaustive (s, t) bound family over a completed full-backend pair."""
-    n = len(traj_a.records)
+    dist = distinguishability_series(traj_a, traj_b, metric).values.tolist()
     reports = []
-    for s in range(n + 1):
+    for s, d_s in enumerate(dist):
         rhs = _bound_terms(traj_a, traj_b, s, metric)
-        base = traj_a.config.log_base
-        d_s = qstate.state_distance(traj_a.snapshots[s], traj_b.snapshots[s],
-                                    metric, base)
-        for t in range(s, n + 1):
-            d_t = qstate.state_distance(traj_a.snapshots[t], traj_b.snapshots[t],
-                                        metric, base)
-            reports.append(BoundReport(s=s, t=t, lhs=d_t - d_s, rhs_env=rhs[0],
+        for t in range(s, len(dist)):
+            reports.append(BoundReport(s=s, t=t, lhs=dist[t] - d_s, rhs_env=rhs[0],
                                        rhs_corr_rho=rhs[1], rhs_corr_sigma=rhs[2]))
     return reports

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,14 +37,36 @@ class ScenarioResult:
 
 
 def _merge(defaults: dict, overrides: dict, name: str) -> dict:
+    """The defaults updated by type-checked overrides; grids become lists."""
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(
             f"unknown override keys for scenario {name!r}: {sorted(unknown)}; "
             f"valid keys: {sorted(defaults)}")
-    out = dict(defaults)
-    out.update(overrides)
-    return out
+    for key, value in overrides.items():
+        _check_override(name, key, value, defaults[key])
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in {**defaults, **overrides}.items()}
+
+
+# what an override must be, by the type of its default
+_KINDS = {tuple: ((list, tuple), "a list"), str: (str, "a string"),
+          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+
+
+def _check_override(name: str, key: str, value, default) -> None:
+    """Reject an override whose type differs from its default's.
+
+    A bool is never a number, and each entry of a list must match the
+    default's first entry.  Ranges are checked where values are used.
+    """
+    accepted, kind = _KINDS[type(default)]
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ConfigError(f"override {key!r} of scenario {name!r} must be {kind}, "
+                          f"got {value!r}")
+    if isinstance(default, tuple):
+        for i, entry in enumerate(value):
+            _check_override(name, f"{key}[{i}]", entry, default[0])
 
 
 def _qubit_stream(omega: float, beta: float) -> AncillaStream:
@@ -78,7 +101,8 @@ def scenario_thermalization(overrides: dict, seed: int = 0,
     cfg = _pswap_config(p, seed, log_base)
     traj = run(cfg)
     target = qstate.thermal_state(cfg.system_hamiltonian, p["beta"])
-    dist = np.array([qstate.trace_distance(s, target) for s in traj.snapshots])
+    dist = qstate.trace_distance(traj.snapshots,
+                                 np.broadcast_to(target, traj.snapshots.shape))
     monotone = bool(np.all(np.diff(dist) <= 1e-12))
     summary = {
         "params": p, "seed": seed, "log_base": log_base,
@@ -130,9 +154,7 @@ def scenario_nonmarkov_sweep(overrides: dict, seed: int = 0,
                 rep_traj, rep_p = traj_a, prob
             elif rep_p == -math.inf:
                 rep_traj = traj_a
-    summary = {"params": {k: list(v) if isinstance(v, tuple) else v
-                          for k, v in p.items()},
-               "seed": seed, "log_base": log_base, "sweep": sweep}
+    summary = {"params": p, "seed": seed, "log_base": log_base, "sweep": sweep}
     return ScenarioResult("nonmarkov_sweep", summary, rep_traj)
 
 
@@ -226,17 +248,16 @@ def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
     traj = run(cfg)
     w = p["window"]
     fluxes = thermo.steady_state_fluxes(traj, w)  # validates the window first
-    tail = traj.records[-w:]
-    q_hot = float(np.mean([r.Q for r in tail if r.stream == 0]))
-    q_cold = float(np.mean([r.Q for r in tail if r.stream == 1]))
-    w_rate = float(np.mean([r.W for r in tail]))
+    stream, q = traj.config.stream_index()[-w:], traj.ledger["Q"][-w:]
+    q_hot = float(np.mean(q[stream == 0]))
+    q_cold = float(np.mean(q[stream == 1]))
     ledger = thermo.build_ledger(traj)
     db = [thermo.detailed_balance_report(
         cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
         for i in range(2)]
     summary = {
         "params": p, "seed": seed, "log_base": log_base,
-        "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": w_rate,
+        "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": fluxes.W_rate,
         "heat_flows_hot_to_cold": bool(q_hot < 0 < q_cold),
         "max_first_law_residual": float(np.max(np.abs(ledger.first_law_residual))),
         "cumulative_W": float(ledger.W.sum()),
@@ -281,8 +302,7 @@ def scenario_landauer(overrides: dict, seed: int = 0,
         grid.append({"beta": beta, "beta_Q": grep.beta_Q, "dS_anc": grep.dS_anc,
                      "landauer_gap": grep.landauer_gap})
     summary = {
-        "params": {k: list(v) if isinstance(v, tuple) else v for k, v in p.items()},
-        "seed": seed, "log_base": log_base,
+        "params": p, "seed": seed, "log_base": log_base,
         "beta_Q": report.beta_Q, "dS_anc": report.dS_anc, "I_SE": report.I_SE,
         "D_relent": report.D_relent, "residual": report.residual,
         "landauer_gap": report.landauer_gap, "beta_grid": grid,
@@ -302,6 +322,13 @@ CONTINUOUS_DEFAULTS = {
 def scenario_continuous_limit(overrides: dict, seed: int = 0,
                               log_base: float = 2.0) -> ScenarioResult:
     p = _merge(CONTINUOUS_DEFAULTS, overrides, "continuous_limit")
+    if not p["tau_grid"] or not all(0 < tau < math.inf for tau in p["tau_grid"]):
+        raise ConfigError("tau_grid must be a non-empty list of positive finite "
+                          f"steps, got {p['tau_grid']!r}")
+    if not 0 < p["total_time"] < math.inf:
+        raise ConfigError(f"total_time must be positive and finite, got {p['total_time']!r}")
+    if not p["gamma"] >= 0:
+        raise ConfigError(f"gamma must be >= 0, got {p['gamma']!r}")
     h = p["omega"] * linalg.SIGMA_Z / 2
     stream = AncillaStream(2, h, GROUND)  # zero-temperature units
     curves = {}
@@ -316,7 +343,7 @@ def scenario_continuous_limit(overrides: dict, seed: int = 0,
             rng_seed=seed, log_base=log_base)
         traj = run(cfg)
         t = tau * np.arange(n + 1)
-        pop = np.array([s[0, 0].real for s in traj.snapshots])
+        pop = traj.snapshots[:, 0, 0].real
         curves[tau] = (t, pop)
         rep_traj = traj if tau == min(p["tau_grid"]) else rep_traj
     # decay rate fitted on the finest grid
@@ -330,10 +357,9 @@ def scenario_continuous_limit(overrides: dict, seed: int = 0,
         t, pop = curves[tau]
         deviations.append(float(np.max(np.abs(pop - np.exp(-rate * t)))))
     summary = {
-        "params": {k: list(v) if isinstance(v, tuple) else v for k, v in p.items()},
-        "seed": seed, "log_base": log_base,
+        "params": p, "seed": seed, "log_base": log_base,
         "fitted_rate": rate,
-        "tau_grid": list(p["tau_grid"]),
+        "tau_grid": p["tau_grid"],
         "max_deviation_per_tau": deviations,
         "deviation_strictly_decreasing": bool(
             all(a > b for a, b in zip(deviations, deviations[1:]))),
@@ -372,15 +398,11 @@ def _check_ledger(traj: Trajectory, ledger: thermo.ThermoLedger):
             raise ConfigError("entropy-production chain violated at write time")
 
 
-def trajectory_rows(traj: Trajectory) -> list[list[float]]:
+def trajectory_rows(traj: Trajectory) -> list[tuple]:
+    """One row per collision, in ``CSV_HEADER`` column order."""
     ledger = thermo.build_ledger(traj)
     _check_ledger(traj, ledger)
-    rows = []
-    for i in range(len(ledger.step)):
-        rows.append([int(ledger.step[i]), ledger.E_S[i], ledger.Q_resource[i],
-                     ledger.Q_bath[i], ledger.W[i], ledger.S_S[i], ledger.S_anc[i],
-                     ledger.I_SE[i], ledger.Sigma[i], ledger.D_pair[i]])
-    return rows
+    return list(zip(*(getattr(ledger, name).tolist() for name in CSV_HEADER.split(","))))
 
 
 def write_trajectory_csv(traj: Trajectory, path):
@@ -394,11 +416,7 @@ def write_trajectory_csv(traj: Trajectory, path):
 
 def write_trajectory_json(traj: Trajectory, summary: dict, path):
     names = CSV_HEADER.split(",")
-    records = []
-    for row in trajectory_rows(traj):
-        rec = dict(zip(names, row))
-        rec["step"] = int(rec["step"])
-        records.append(rec)
+    records = [dict(zip(names, row)) for row in trajectory_rows(traj)]
     doc = {"schema_version": CSV_SCHEMA_VERSION, "summary": summary,
            "records": records}
     with open(path, "w") as fh:

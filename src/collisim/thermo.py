@@ -102,24 +102,25 @@ class ThermoLedger:
 
 
 def build_ledger(traj: Trajectory) -> ThermoLedger:
-    recs = traj.records
-    role = np.array([r.role for r in recs])
-    q = np.array([r.Q for r in recs])
+    led = traj.ledger
+    q = led["Q"]
+    is_bath = np.array([st.role == "bath" for st in traj.config.streams])[
+        traj.config.stream_index()]
     return ThermoLedger(
-        step=np.array([r.step for r in recs]),
-        E_S=np.array([r.E_S_post for r in recs]),
-        dE_S=np.array([r.dE_S for r in recs]),
-        Q_resource=np.where(role == "resource", q, 0.0),
-        Q_bath=np.where(role == "bath", q, 0.0),
-        W=np.array([r.W for r in recs]),
-        S_S=np.array([r.S_S_post for r in recs]),
-        S_anc=np.array([r.S_anc_post for r in recs]),
-        dS_S=np.array([r.dS_S for r in recs]),
-        dS_anc=np.array([r.dS_anc for r in recs]),
-        I_SE=np.array([r.I_SE for r in recs]),
-        Sigma=np.array([r.Sigma for r in recs]),
-        D_env_relent=np.array([r.D_env_relent for r in recs]),
-        D_pair=np.array([math.nan if r.D_pair is None else r.D_pair for r in recs]),
+        step=np.arange(len(q)),
+        E_S=led["E_S_post"],
+        dE_S=led["E_S_post"] - led["E_S_pre"],
+        Q_resource=np.where(is_bath, 0.0, q),
+        Q_bath=np.where(is_bath, q, 0.0),
+        W=led["W"],
+        S_S=led["S_S_post"],
+        S_anc=led["S_anc_post"],
+        dS_S=led["S_S_post"] - led["S_S_pre"],
+        dS_anc=led["S_anc_post"] - led["S_anc_pre"],
+        I_SE=led["I_SE"],
+        Sigma=led["Sigma"],
+        D_env_relent=led["D_env_relent"],
+        D_pair=led.get("D_pair", np.full(len(q), math.nan)),
     )
 
 
@@ -134,7 +135,7 @@ def steady_state_drift(traj: Trajectory, window: int = STEADY_WINDOW) -> float:
     if traj.snapshots is None or len(traj.snapshots) < window + 1:
         raise ConfigError("trajectory too short (or missing snapshots) for the window")
     tail = traj.snapshots[-(window + 1):]
-    return max(qstate.trace_distance(a, b) for a, b in zip(tail, tail[1:]))
+    return float(np.max(qstate.trace_distance(tail[:-1], tail[1:])))
 
 
 @dataclass
@@ -149,11 +150,9 @@ def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW,
                         tol: float = STEADY_DRIFT) -> FluxReport:
     """Windowed per-collision averages of heat and work near the end of a run."""
     _check_window(window)
-    recs = traj.records
-    if len(recs) < 2 * window:
+    q, w = traj.ledger["Q"], traj.ledger["W"]
+    if len(q) < 2 * window:
         raise ConfigError("trajectory too short for two flux windows")
-    q = np.array([r.Q for r in recs])
-    w = np.array([r.W for r in recs])
     q1, w1 = q[-window:].mean(), w[-window:].mean()
     q0, w0 = q[-2 * window:-window].mean(), w[-2 * window:-window].mean()
     drift = max(abs(q1 - q0), abs(w1 - w0))
@@ -191,17 +190,16 @@ def landauer_report(traj: Trajectory, window: int = STEADY_WINDOW,
             f"steady state not reached: snapshot drift {drift:.3g} >= {tol:g}",
             drift=drift)
     base = traj.config.log_base
-    recs = traj.records[-window:]
-    betas = []
-    for r in recs:
-        beta = traj.config.streams[r.stream].beta
-        if beta is None:
-            raise ConfigError("Landauer accounting needs thermal ancilla streams")
-        betas.append(beta)
-    beta_q = float(np.mean([b * r.Q / math.log(base) for b, r in zip(betas, recs)]))
-    ds_anc = float(np.mean([r.dS_anc for r in recs]))
-    i_se = float(np.mean([r.I_SE for r in recs]))
-    d_rel = float(np.mean([r.D_env_relent for r in recs]))
-    ds_s = float(np.mean([r.dS_S for r in recs]))
+    led = build_ledger(traj)
+    # None (a stream that is not thermal) becomes nan
+    beta = np.array([st.beta for st in traj.config.streams], dtype=float)[
+        traj.config.stream_index()[-window:]]
+    if np.isnan(beta).any():
+        raise ConfigError("Landauer accounting needs thermal ancilla streams")
+    beta_q = float(np.mean(beta * traj.ledger["Q"][-window:] / math.log(base)))
+    ds_anc = float(np.mean(led.dS_anc[-window:]))
+    i_se = float(np.mean(led.I_SE[-window:]))
+    d_rel = float(np.mean(led.D_env_relent[-window:]))
+    ds_s = float(np.mean(led.dS_S[-window:]))
     return LandauerReport(beta_Q=beta_q, dS_anc=ds_anc, I_SE=i_se, D_relent=d_rel,
                          dS_S=ds_s, residual=beta_q + ds_s - i_se - d_rel)

@@ -1,11 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from collisim import engine, linalg, qstate
+from collisim import engine, linalg, nonmarkov, qstate
 from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
                              collision_unitary, erase_correlations,
                              partial_swap_interaction, partial_swap_unitary, run,
@@ -480,3 +480,62 @@ class TestRunStack:
             run_stack(cfg, EXCITED)
         with pytest.raises(ConfigError):
             run_stack(cfg, [EXCITED, 2 * GROUND])
+
+
+def two_stream_config(**extra):
+    h = SZ / 2
+    streams = [AncillaStream(2, h, qstate.thermal_state(h, 0.5), beta=0.5),
+               AncillaStream(2, h, qstate.thermal_state(h, 2.0), role="bath", beta=2.0)]
+    v = linalg.kron(SX, SX) + linalg.kron(SY, SY)
+    return CollisionConfig(2, h, EXCITED, streams, [v, v], coupling=0.7, n_steps=6,
+                           **extra)
+
+
+class TestLedgerColumns:
+    """The per-step columns are the stored ledger; ``records`` is a view."""
+
+    @staticmethod
+    def assert_columns_match_records(traj):
+        n = traj.config.n_steps
+        records = traj.records
+        assert [r.step for r in records] == list(range(n))
+        assert [r.stream for r in records] == traj.config.stream_index().tolist()
+        for name, column in traj.ledger.items():
+            assert column.shape == (n,), name
+            assert column.tolist() == [getattr(r, name) for r in records], name
+
+    def test_two_stream_run(self):
+        traj = run(two_stream_config())
+        assert set(traj.ledger) == set(engine.LEDGER_FIELDS)
+        assert traj.snapshots.shape == (7, 2, 2)
+        self.assert_columns_match_records(traj)
+        assert [r.role for r in traj.records] == ["resource", "bath"] * 3
+        assert all(r.D_pair is None for r in traj.records)
+
+    def test_incoherent_paired_run(self):
+        cfg = qubit_config(theta=0.4, n_steps=8, aa_mode="incoherent",
+                           aa_swap_prob=0.5, rng_seed=3)
+        for traj in run_paired(cfg, EXCITED, GROUND):
+            assert set(traj.ledger) == set(engine.LEDGER_FIELDS) | {"D_pair"}
+            self.assert_columns_match_records(traj)
+
+    @pytest.mark.parametrize("metric", ["trace", "jensen-shannon"])
+    def test_d_pair_is_the_distinguishability_series(self, metric):
+        cfg = qubit_config(theta=0.4, n_steps=8, aa_mode="incoherent",
+                           aa_swap_prob=0.5, rng_seed=3, pair_metric=metric)
+        ta, tb = run_paired(cfg, EXCITED, GROUND)
+        series = nonmarkov.distinguishability_series(ta, tb, metric)
+        assert np.array_equal(ta.ledger["D_pair"], series.values[1:])
+        assert np.array_equal(tb.ledger["D_pair"], series.values[1:])
+
+    def test_member_slices_the_stack(self):
+        stack = run_stack(two_stream_config(), random_stack(np.random.default_rng(2), n=3))
+        member = stack.member(1)
+        for name in engine.LEDGER_FIELDS:
+            assert np.shares_memory(member.ledger[name], stack.ledger[name])
+        assert np.shares_memory(member.snapshots, stack.snapshots)
+
+    def test_records_are_read_only(self):
+        record = run(qubit_config()).records[0]
+        with pytest.raises(FrozenInstanceError):
+            record.Q = 1.0

@@ -170,6 +170,27 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "n_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,overrides,key", [
+        ("thermalization", {"omega": "1"}, "omega"),
+        ("continuous_limit", {"tau_grid": []}, "tau_grid"),
+        ("continuous_limit", {"tau_grid": 0.1}, "tau_grid"),
+        ("continuous_limit", {"gamma": -0.5}, "gamma"),
+        ("nonmarkov_sweep", {"p_grid": 5}, "p_grid"),
+        ("landauer", {"beta_grid": "x"}, "beta_grid"),
+        ("landauer", {"beta_grid": [1.0, True]}, "beta_grid[1]"),
+        ("thermalization", {"theta": False}, "theta"),
+        ("nonmarkov_sweep", {"bound_steps": 2.5}, "bound_steps"),
+        ("continuous_limit", {"total_time": math.nan}, "total_time"),
+        ("continuous_limit", {"tau_grid": [0.1, 0.0]}, "tau_grid"),
+    ])
+    def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
+                                                overrides, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_zero_window_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"overrides": {"window": 0}}))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from collisim import linalg, qstate, thermo
-from collisim.engine import (AncillaStream, CollisionConfig, collision_unitary,
-                             partial_swap_interaction, run, swap_unitary)
+from collisim.engine import (LEDGER_FIELDS, AncillaStream, CollisionConfig, Trajectory,
+                             collision_unitary, partial_swap_interaction, run,
+                             swap_unitary)
 from collisim.errors import ConfigError, NotConvergedError
 from conftest import random_density_matrix, random_hermitian
 
@@ -168,6 +169,47 @@ class TestFirstLaw:
         e0 = float(np.trace(h_tot @ before).real)
         e1 = float(np.trace(h_tot @ after).real)
         assert e1 == pytest.approx(e0, abs=1e-10)
+
+
+def record_built_ledger(traj):
+    """The ledger series, written out from the trajectory's records."""
+    recs = traj.records
+    return {
+        "step": [r.step for r in recs],
+        "E_S": [r.E_S_post for r in recs],
+        "dE_S": [r.dE_S for r in recs],
+        "Q_resource": [r.Q if r.role == "resource" else 0.0 for r in recs],
+        "Q_bath": [r.Q if r.role == "bath" else 0.0 for r in recs],
+        "W": [r.W for r in recs],
+        "S_S": [r.S_S_post for r in recs],
+        "S_anc": [r.S_anc_post for r in recs],
+        "dS_S": [r.dS_S for r in recs],
+        "dS_anc": [r.dS_anc for r in recs],
+        "I_SE": [r.I_SE for r in recs],
+        "Sigma": [r.Sigma for r in recs],
+        "D_env_relent": [r.D_env_relent for r in recs],
+        "D_pair": [math.nan if r.D_pair is None else r.D_pair for r in recs],
+    }
+
+
+class TestBuildLedger:
+    def test_matches_record_built_reference(self):
+        h = SZ / 2
+        streams = [AncillaStream(2, h, qstate.thermal_state(h, 1.0), beta=1.0),
+                   AncillaStream(2, h, qstate.thermal_state(h, 2.0), role="bath",
+                                 beta=2.0)]
+        cfg = CollisionConfig(2, h, EXCITED, streams, [EXCHANGE_V, EXCHANGE_V],
+                              coupling=0.6, n_steps=7)
+        # arbitrary columns, with a pair column, pin which column feeds
+        # which series; the run covers the ledger without one
+        rng = np.random.default_rng(12)
+        arbitrary = Trajectory(cfg, ledger={name: rng.normal(size=7) for name in
+                                            LEDGER_FIELDS + ("D_pair",)})
+        for traj in (run(cfg), arbitrary):
+            ledger = thermo.build_ledger(traj)
+            for name, expected in record_built_ledger(traj).items():
+                np.testing.assert_array_equal(getattr(ledger, name), expected,
+                                              err_msg=name)
 
 
 class TestDetailedBalanceReport:
