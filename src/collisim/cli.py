@@ -67,12 +67,16 @@ def main(argv=None) -> int:
     try:
         doc = _load_config(args.config) if args.config else {}
         overrides = doc.get("overrides", {})
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        seed = args.seed if args.seed is not None else doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"config 'seed' must be an integer, got {seed!r}")
         emit = args.emit or doc.get("emit", "csv")
         if emit not in ("csv", "json", "both"):
             raise ConfigError(f"unknown emit mode {emit!r}")
         base_flag = args.log_base or doc.get("log_base", "2")
-        log_base = math.e if str(base_flag) == "e" else 2.0
+        if base_flag not in ("2", 2, "e"):
+            raise ConfigError(f"config 'log_base' must be '2', 2 or 'e', got {base_flag!r}")
+        log_base = math.e if base_flag == "e" else 2.0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -83,14 +87,13 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = out_dir / f"{args.scenario}_{seed}"
         written = []
-        if result.trajectory is not None:
-            if emit in ("csv", "both"):
-                write_trajectory_csv(result.trajectory, stem.with_suffix(".csv"))
-                written.append(str(stem.with_suffix(".csv")))
-            if emit in ("json", "both"):
-                write_trajectory_json(result.trajectory, result.summary,
-                                      stem.with_suffix(".json"))
-                written.append(str(stem.with_suffix(".json")))
+        if emit in ("csv", "both"):
+            write_trajectory_csv(result.trajectory, stem.with_suffix(".csv"))
+            written.append(str(stem.with_suffix(".csv")))
+        if emit in ("json", "both"):
+            write_trajectory_json(result.trajectory, result.summary,
+                                  stem.with_suffix(".json"))
+            written.append(str(stem.with_suffix(".json")))
         print(json.dumps({"scenario": args.scenario, "seed": seed,
                           "outputs": written, "summary": result.summary}))
         return EXIT_OK

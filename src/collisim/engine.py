@@ -9,7 +9,9 @@ One stepping loop serves both backends, which differ only in what they
 retain after each step: ``windowed`` traces down to the system (or to the
 system plus the fresh unit when ancilla-ancilla collisions are on), so it
 carries at most the system and two live ancillas; ``full`` keeps every
-ancilla in one joint state and serves as the exact small-instance oracle.
+ancilla in one joint state, stores that joint state after every step, and
+serves as the exact small-instance oracle.  Both store the system state
+after every step.
 
 The loop propagates a stack of B initial system states at once, under one
 configuration and one coin sequence: every state carries a leading batch
@@ -113,8 +115,6 @@ class CollisionConfig:
     full_factor_cap: int = 10        # full backend joint dim <= 2**cap
     log_base: float = 2.0
     pair_metric: str = "trace"
-    keep_snapshots: bool = True
-    keep_joint_snapshots: bool = False
 
     def validate(self):
         finite = {"system_hamiltonian": self.system_hamiltonian,
@@ -151,6 +151,8 @@ class CollisionConfig:
             raise ConfigError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         if not 0.0 <= self.aa_swap_prob <= 1.0:
             raise ConfigError("aa_swap_prob must lie in [0, 1]")
         if not 0.0 <= self.erasure_lambda <= 1.0:
@@ -253,7 +255,7 @@ class TrajectoryStack:
     config: CollisionConfig
     inits: np.ndarray                                # (B, d_S, d_S)
     ledger: dict[str, np.ndarray]
-    snapshots: np.ndarray | None = None
+    snapshots: np.ndarray
     joint_snapshots: list[np.ndarray] | None = None  # full backend
 
     def member(self, b: int) -> Trajectory:
@@ -261,7 +263,7 @@ class TrajectoryStack:
         return Trajectory(
             config=replace(self.config, system_init=self.inits[b]),
             ledger={name: column[:, b] for name, column in self.ledger.items()},
-            snapshots=None if self.snapshots is None else self.snapshots[:, b],
+            snapshots=self.snapshots[:, b],
             joint_snapshots=None if self.joint_snapshots is None
             else [j[b] for j in self.joint_snapshots])
 
@@ -275,18 +277,15 @@ def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
     return linalg.unitary_from_hamiltonian(h, cfg.tau)
 
 
-def erase_correlations(joint: np.ndarray, dims: list[int], lam: float,
-                       split: int | None = None) -> np.ndarray:
-    """lam * rho + (1 - lam) * rho_A (x) rho_B across dims[:split] | dims[split:]."""
+def erase_correlations(joint: np.ndarray, dims: list[int], lam: float) -> np.ndarray:
+    """lam * rho + (1 - lam) * rho_A (x) rho_B, B the last factor of ``dims``."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("erasure lambda must lie in [0, 1]")
     if lam == 1.0:
         return joint
     n = len(dims)
-    if split is None:
-        split = n - 1
-    rho_a = linalg.partial_trace(joint, dims, range(split))
-    rho_b = linalg.partial_trace(joint, dims, range(split, n))
+    rho_a = linalg.partial_trace(joint, dims, range(n - 1))
+    rho_b = linalg.partial_trace(joint, dims, [n - 1])
     return lam * joint + (1.0 - lam) * linalg.kron(rho_a, rho_b)
 
 
@@ -404,11 +403,9 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
     dims = [cfg.system_dim]
     # preallocated: a list of per-step arrays costs far more memory
     ledger = np.empty((len(LEDGER_FIELDS), cfg.n_steps, len(inits)))
-    snapshots = None
-    if cfg.keep_snapshots:
-        snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
-        snapshots[0] = inits
-    joints = [joint] if full and cfg.keep_joint_snapshots else None
+    snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
+    snapshots[0] = inits
+    joints = [joint] if full else None
     for k, si in enumerate(cfg.stream_index().tolist()):
         st = cfg.streams[si]
         joint = linalg.kron(joint, st.init_state)
@@ -429,13 +426,11 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
         pair = linalg.partial_trace(joint, dims, [0, fresh])
         ledger[:, k] = _ledger(cfg, k, st, pre_s, pre_e, post_s, post_e, pair,
                                aa_active)
-        if snapshots is not None:
-            snapshots[k + 1] = post_s
+        snapshots[k + 1] = post_s
         # retention: full keeps everything, windowed only what the next
         # step can touch
         if full:
-            if joints is not None:
-                joints.append(joint)
+            joints.append(joint)
         elif cfg.aa_mode == "off":
             joint, dims = post_s, [cfg.system_dim]
         else:
@@ -472,8 +467,8 @@ def run_paired(cfg: CollisionConfig, init_a: np.ndarray, init_b: np.ndarray):
     The per-step distinguishability of the two system states, in
     ``cfg.pair_metric``, is the ``D_pair`` column of both ledgers.
     """
-    traj_a = run(replace(cfg, system_init=init_a, keep_snapshots=True))
-    traj_b = run(replace(cfg, system_init=init_b, keep_snapshots=True))
+    traj_a = run(replace(cfg, system_init=init_a))
+    traj_b = run(replace(cfg, system_init=init_b))
     traj_a.ledger["D_pair"] = traj_b.ledger["D_pair"] = qstate.state_distance(
         traj_a.snapshots[1:], traj_b.snapshots[1:], cfg.pair_metric, cfg.log_base)
     return traj_a, traj_b

@@ -37,8 +37,6 @@ class DistinguishabilitySeries:
 def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory,
                               metric: str = "trace") -> DistinguishabilitySeries:
     """Pointwise metric between the system snapshots of two trajectories."""
-    if traj_a.snapshots is None or traj_b.snapshots is None:
-        raise ConfigError("paired trajectories must retain snapshots")
     vals = qstate.state_distance(traj_a.snapshots, traj_b.snapshots, metric,
                                  traj_a.config.log_base)
     return DistinguishabilitySeries(metric=metric, values=vals)
@@ -88,7 +86,6 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
     else:
         u_vals = np.linspace(1.0, 0.0, grid_resolution)  # antipodal pairs: u >= 0 suffices
         phi_vals = np.linspace(0.0, 2 * math.pi, 2 * grid_resolution, endpoint=False)
-    cfg = replace(cfg, keep_snapshots=True)
     best, best_pair = -1.0, None
     for u in u_vals:
         pairs = [antipodal_pair(math.acos(u), phi) for phi in phi_vals]
@@ -115,11 +112,6 @@ class BoundReport:
     @property
     def slack(self) -> float:
         return self.rhs_env + self.rhs_corr_rho + self.rhs_corr_sigma - self.lhs
-
-
-def _full_paired(cfg: CollisionConfig, init_a, init_b):
-    cfg = replace(cfg, backend="full", keep_snapshots=True, keep_joint_snapshots=True)
-    return run_paired(cfg, init_a, init_b)
 
 
 def _bound_terms(traj_a: Trajectory, traj_b: Trajectory, s: int, metric: str):
@@ -155,7 +147,7 @@ def bound_report_from_pair(traj_a: Trajectory, traj_b: Trajectory, s: int, t: in
 def revival_bound_report(cfg: CollisionConfig, init_a, init_b, s: int, t: int,
                          metric: str = "trace") -> BoundReport:
     """Run paired full-backend trajectories and evaluate the bound at (s, t)."""
-    traj_a, traj_b = _full_paired(cfg, init_a, init_b)
+    traj_a, traj_b = run_paired(replace(cfg, backend="full"), init_a, init_b)
     return bound_report_from_pair(traj_a, traj_b, s, t, metric)
 
 
@@ -164,7 +156,7 @@ def precursor_series(cfg: CollisionConfig, init_a, init_b, metric: str = "trace"
 
     Returns (env_term, corr_rho, corr_sigma) arrays of length n_steps + 1.
     """
-    traj_a, traj_b = _full_paired(cfg, init_a, init_b)
+    traj_a, traj_b = run_paired(replace(cfg, backend="full"), init_a, init_b)
     terms = np.array([_bound_terms(traj_a, traj_b, s, metric)
                       for s in range(cfg.n_steps + 1)])
     return terms[:, 0], terms[:, 1], terms[:, 2]

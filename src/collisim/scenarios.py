@@ -4,8 +4,12 @@ Each scenario binds a physical narrative (thermalization, memory sweep,
 dissipative battery charging, local-vs-global two-qubit transport,
 Landauer accounting, continuous-time limit) to a runnable configuration.
 Defaults live here in code; a config document supplies overrides only and
-unknown keys are hard errors.  Every default is echoed into the summary
-so emitted files are self-describing.
+unknown keys are hard errors.  ``run_scenario`` is the one runner: it
+merges and type-checks the overrides, calls the scenario with the merged
+parameters, and echoes the parameters, seed and log base at the head of
+the summary, so emitted files are self-describing.  A scenario function
+computes only its own findings and returns them with its representative
+trajectory.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ GROUND = qstate.pure_state(np.array([0.0, 1.0]))
 class ScenarioResult:
     name: str
     summary: dict
-    trajectory: Trajectory | None = None
+    trajectory: Trajectory
 
 
 def _merge(defaults: dict, overrides: dict, name: str) -> dict:
@@ -50,18 +54,20 @@ def _merge(defaults: dict, overrides: dict, name: str) -> dict:
 
 
 # what an override must be, by the type of its default
-_KINDS = {tuple: ((list, tuple), "a list"), str: (str, "a string"),
+_KINDS = {tuple: ((list, tuple), "a non-empty list"), str: (str, "a string"),
           int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
 def _check_override(name: str, key: str, value, default) -> None:
     """Reject an override whose type differs from its default's.
 
-    A bool is never a number, and each entry of a list must match the
-    default's first entry.  Ranges are checked where values are used.
+    A bool is never a number, a grid is never empty, and each entry of a
+    list must match the default's first entry.  Ranges are checked where
+    values are used.
     """
     accepted, kind = _KINDS[type(default)]
-    if not isinstance(value, accepted) or isinstance(value, bool):
+    if not isinstance(value, accepted) or isinstance(value, bool) \
+            or (isinstance(default, tuple) and not value):
         raise ConfigError(f"override {key!r} of scenario {name!r} must be {kind}, "
                           f"got {value!r}")
     if isinstance(default, tuple):
@@ -69,18 +75,24 @@ def _check_override(name: str, key: str, value, default) -> None:
             _check_override(name, f"{key}[{i}]", entry, default[0])
 
 
-def _qubit_stream(omega: float, beta: float) -> AncillaStream:
-    h = omega * linalg.SIGMA_Z / 2
-    return AncillaStream(dim=2, hamiltonian=h,
-                         init_state=qstate.thermal_state(h, beta), beta=beta)
+def _finite(p: dict, key: str) -> float:
+    """``p[key]``, checked finite before it scales an operator (inf * 0 is NaN)."""
+    if not math.isfinite(p[key]):
+        raise ConfigError(f"parameter {key!r} must be finite, got {p[key]!r}")
+    return p[key]
+
+
+def _thermal_stream(h: np.ndarray, beta: float, role: str = "resource") -> AncillaStream:
+    """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``."""
+    return AncillaStream(len(h), h, qstate.thermal_state(h, beta), role=role, beta=beta)
 
 
 def _pswap_config(p: dict, seed: int, log_base: float, **extra) -> CollisionConfig:
     """Qubit system + thermal qubit stream coupled by a partial SWAP."""
-    h_s = p["omega"] * linalg.SIGMA_Z / 2
+    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
     return CollisionConfig(
-        system_dim=2, system_hamiltonian=h_s, system_init=EXCITED,
-        streams=[_qubit_stream(p["omega"], p["beta"])],
+        system_dim=2, system_hamiltonian=h, system_init=EXCITED,
+        streams=[_thermal_stream(h, p["beta"])],
         interactions=[partial_swap_interaction(2)],
         tau=p["tau"], coupling=p["theta"] / p["tau"], n_steps=p["n_steps"],
         rng_seed=seed, log_base=log_base, **extra)
@@ -95,21 +107,15 @@ THERMALIZATION_DEFAULTS = {
 }
 
 
-def scenario_thermalization(overrides: dict, seed: int = 0,
-                            log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(THERMALIZATION_DEFAULTS, overrides, "thermalization")
+def scenario_thermalization(p: dict, seed: int, log_base: float):
     cfg = _pswap_config(p, seed, log_base)
     traj = run(cfg)
     target = qstate.thermal_state(cfg.system_hamiltonian, p["beta"])
     dist = qstate.trace_distance(traj.snapshots,
                                  np.broadcast_to(target, traj.snapshots.shape))
     monotone = bool(np.all(np.diff(dist) <= 1e-12))
-    summary = {
-        "params": p, "seed": seed, "log_base": log_base,
-        "final_distance_to_thermal": float(dist[-1]),
-        "monotone_decay": monotone,
-    }
-    return ScenarioResult("thermalization", summary, traj)
+    return {"final_distance_to_thermal": float(dist[-1]),
+            "monotone_decay": monotone}, traj
 
 
 # --------------------------------------------------------------------------
@@ -123,9 +129,7 @@ NONMARKOV_DEFAULTS = {
 }
 
 
-def scenario_nonmarkov_sweep(overrides: dict, seed: int = 0,
-                             log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(NONMARKOV_DEFAULTS, overrides, "nonmarkov_sweep")
+def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
     sweep = []
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent
@@ -137,25 +141,23 @@ def scenario_nonmarkov_sweep(overrides: dict, seed: int = 0,
                                 aa_swap_prob=prob, pair_metric=p["metric"])
             traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
             series = nonmarkov.distinguishability_series(traj_a, traj_b, p["metric"])
-            entry = {
+            # bound verification on the exact full-state backend; the joint
+            # snapshots of the oracle pair are freed once the reports exist
+            reports = nonmarkov.all_pair_bound_reports(*run_paired(
+                replace(cfg, n_steps=p["bound_steps"], backend="full"),
+                EXCITED, GROUND), p["metric"])
+            sweep.append({
                 "mode": mode, "p": prob,
                 "blp": nonmarkov.blp_measure(series),
                 "first_revival_step": nonmarkov.first_revival_step(series),
-            }
-            # bound verification on the exact full-state backend
-            bcfg = replace(cfg, n_steps=p["bound_steps"], backend="full",
-                           keep_joint_snapshots=True)
-            fa, fb = run_paired(bcfg, EXCITED, GROUND)
-            reports = nonmarkov.all_pair_bound_reports(fa, fb, p["metric"])
-            entry["min_bound_slack"] = float(min(r.slack for r in reports))
-            entry["max_revival_lhs"] = float(max(r.lhs for r in reports))
-            sweep.append(entry)
+                "min_bound_slack": float(min(r.slack for r in reports)),
+                "max_revival_lhs": float(max(r.lhs for r in reports)),
+            })
             if mode == "coherent" and prob >= rep_p:
                 rep_traj, rep_p = traj_a, prob
             elif rep_p == -math.inf:
                 rep_traj = traj_a
-    summary = {"params": p, "seed": seed, "log_base": log_base, "sweep": sweep}
-    return ScenarioResult("nonmarkov_sweep", summary, rep_traj)
+    return {"sweep": sweep}, rep_traj
 
 
 # --------------------------------------------------------------------------
@@ -178,13 +180,9 @@ def battery_interaction(kind: str) -> np.ndarray:
     raise ConfigError(f"unknown interaction kind {kind!r}")
 
 
-def scenario_battery(overrides: dict, seed: int = 0,
-                     log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(BATTERY_DEFAULTS, overrides, "battery")
-    h = p["omega"] * linalg.SIGMA_Z  # gap 2*omega on both sides keeps V resonant
-    stream = AncillaStream(dim=2, hamiltonian=h,
-                           init_state=qstate.thermal_state(h, p["beta"]),
-                           beta=p["beta"])
+def scenario_battery(p: dict, seed: int, log_base: float):
+    h = _finite(p, "omega") * linalg.SIGMA_Z  # gap 2*omega on both sides keeps V resonant
+    stream = _thermal_stream(h, p["beta"])
     cfg = CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=GROUND,
         streams=[stream], interactions=[battery_interaction(p["interaction"])],
@@ -193,19 +191,16 @@ def scenario_battery(overrides: dict, seed: int = 0,
     traj = run(cfg)
     final = traj.snapshots[-1]
     pops = np.diag(final).real
-    thermal = qstate.thermal_state(h, p["beta"])
     inverted = qstate.thermal_state(-h, p["beta"])  # beta -> -beta
     fluxes = thermo.steady_state_fluxes(traj, p["window"])
-    summary = {
-        "params": p, "seed": seed, "log_base": log_base,
+    return {
         "steady_populations": [float(x) for x in pops],
-        "distance_to_thermal": qstate.trace_distance(final, thermal),
+        "distance_to_thermal": qstate.trace_distance(final, stream.init_state),
         "distance_to_inverted_thermal": qstate.trace_distance(final, inverted),
         "population_inverted": bool(pops[0] > pops[1]),  # non-passive flag
         "Q_rate": fluxes.Q_rate, "W_rate": fluxes.W_rate,
         "fluxes_converged": fluxes.converged,
-    }
-    return ScenarioResult("battery", summary, traj)
+    }, traj
 
 
 # --------------------------------------------------------------------------
@@ -219,31 +214,23 @@ TWO_QUBIT_DEFAULTS = {
 
 def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
     sx, sy, sz, eye = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
-    h_local = p["omega"] / 2 * (linalg.kron(sz, eye) + linalg.kron(eye, sz))
-    h_int = p["J"] * (linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
-        + p["Jz"] * linalg.kron(sz, sz)
-    h_s = h_local + h_int
+    h_local = _finite(p, "omega") / 2 * (linalg.kron(sz, eye) + linalg.kron(eye, sz))
+    h_int = _finite(p, "J") * (linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
+        + _finite(p, "Jz") * linalg.kron(sz, sz)
     h_e = p["omega"] * sz / 2
-    streams = [
-        AncillaStream(2, h_e, qstate.thermal_state(h_e, p["beta_hot"]),
-                      role="bath", beta=p["beta_hot"]),
-        AncillaStream(2, h_e, qstate.thermal_state(h_e, p["beta_cold"]),
-                      role="bath", beta=p["beta_cold"]),
-    ]
+    streams = [_thermal_stream(h_e, p["beta_hot"], "bath"),
+               _thermal_stream(h_e, p["beta_cold"], "bath")]
     # energy-preserving local exchange with each qubit's own reservoir
     v1 = linalg.kron(sx, eye, sx) + linalg.kron(sy, eye, sy)
     v2 = linalg.kron(eye, sx, sx) + linalg.kron(eye, sy, sy)
-    init = linalg.kron(qstate.thermal_state(h_e, p["beta_hot"]),
-                       qstate.thermal_state(h_e, p["beta_cold"]))
     return CollisionConfig(
-        system_dim=4, system_hamiltonian=h_s, system_init=init,
+        system_dim=4, system_hamiltonian=h_local + h_int,
+        system_init=linalg.kron(streams[0].init_state, streams[1].init_state),
         streams=streams, interactions=[v1, v2], tau=p["tau"], coupling=p["g"],
         n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
 
 
-def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
-                                    log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(TWO_QUBIT_DEFAULTS, overrides, "two_qubit_local_global")
+def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
     cfg = _two_qubit_config(p, seed, log_base)
     traj = run(cfg)
     w = p["window"]
@@ -255,8 +242,7 @@ def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
     db = [thermo.detailed_balance_report(
         cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
         for i in range(2)]
-    summary = {
-        "params": p, "seed": seed, "log_base": log_base,
+    return {
         "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": fluxes.W_rate,
         "heat_flows_hot_to_cold": bool(q_hot < 0 < q_cold),
         "max_first_law_residual": float(np.max(np.abs(ledger.first_law_residual))),
@@ -265,8 +251,7 @@ def scenario_two_qubit_local_global(overrides: dict, seed: int = 0,
         "cumulative_Sigma": float(ledger.Sigma.sum()),
         "global_db_violation": [d.local_db for d in db],
         "fluxes_converged": fluxes.converged,
-    }
-    return ScenarioResult("two_qubit_local_global", summary, traj)
+    }, traj
 
 
 # --------------------------------------------------------------------------
@@ -280,18 +265,15 @@ LANDAUER_DEFAULTS = {
 
 def _landauer_config(p: dict, beta: float, seed: int,
                      log_base: float) -> CollisionConfig:
-    h = p["omega"] * linalg.SIGMA_Z / 2
-    stream = AncillaStream(2, h, qstate.thermal_state(h, beta), beta=beta)
+    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
     v = linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X)  # not energy preserving
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[stream], interactions=[v], tau=p["tau"], coupling=p["g"],
-        n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
+        streams=[_thermal_stream(h, beta)], interactions=[v], tau=p["tau"],
+        coupling=p["g"], n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
 
 
-def scenario_landauer(overrides: dict, seed: int = 0,
-                      log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(LANDAUER_DEFAULTS, overrides, "landauer")
+def scenario_landauer(p: dict, seed: int, log_base: float):
     cfg = _landauer_config(p, p["beta"], seed, log_base)
     traj = run(cfg)
     report = thermo.landauer_report(traj, p["window"])
@@ -301,13 +283,11 @@ def scenario_landauer(overrides: dict, seed: int = 0,
         grep = thermo.landauer_report(gtraj, p["window"])
         grid.append({"beta": beta, "beta_Q": grep.beta_Q, "dS_anc": grep.dS_anc,
                      "landauer_gap": grep.landauer_gap})
-    summary = {
-        "params": p, "seed": seed, "log_base": log_base,
+    return {
         "beta_Q": report.beta_Q, "dS_anc": report.dS_anc, "I_SE": report.I_SE,
         "D_relent": report.D_relent, "residual": report.residual,
         "landauer_gap": report.landauer_gap, "beta_grid": grid,
-    }
-    return ScenarioResult("landauer", summary, traj)
+    }, traj
 
 
 # --------------------------------------------------------------------------
@@ -319,17 +299,14 @@ CONTINUOUS_DEFAULTS = {
 }
 
 
-def scenario_continuous_limit(overrides: dict, seed: int = 0,
-                              log_base: float = 2.0) -> ScenarioResult:
-    p = _merge(CONTINUOUS_DEFAULTS, overrides, "continuous_limit")
-    if not p["tau_grid"] or not all(0 < tau < math.inf for tau in p["tau_grid"]):
-        raise ConfigError("tau_grid must be a non-empty list of positive finite "
-                          f"steps, got {p['tau_grid']!r}")
+def scenario_continuous_limit(p: dict, seed: int, log_base: float):
+    if not all(0 < tau < math.inf for tau in p["tau_grid"]):
+        raise ConfigError(f"tau_grid steps must be positive and finite, got {p['tau_grid']!r}")
     if not 0 < p["total_time"] < math.inf:
         raise ConfigError(f"total_time must be positive and finite, got {p['total_time']!r}")
     if not p["gamma"] >= 0:
         raise ConfigError(f"gamma must be >= 0, got {p['gamma']!r}")
-    h = p["omega"] * linalg.SIGMA_Z / 2
+    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
     stream = AncillaStream(2, h, GROUND)  # zero-temperature units
     curves = {}
     rep_traj = None
@@ -356,15 +333,13 @@ def scenario_continuous_limit(overrides: dict, seed: int = 0,
     for tau in p["tau_grid"]:
         t, pop = curves[tau]
         deviations.append(float(np.max(np.abs(pop - np.exp(-rate * t)))))
-    summary = {
-        "params": p, "seed": seed, "log_base": log_base,
+    return {
         "fitted_rate": rate,
         "tau_grid": p["tau_grid"],
         "max_deviation_per_tau": deviations,
         "deviation_strictly_decreasing": bool(
             all(a > b for a, b in zip(deviations, deviations[1:]))),
-    }
-    return ScenarioResult("continuous_limit", summary, rep_traj)
+    }, rep_traj
 
 
 # --------------------------------------------------------------------------
@@ -378,13 +353,28 @@ SCENARIOS = {
     "landauer": scenario_landauer,
     "continuous_limit": scenario_continuous_limit,
 }
+DEFAULTS = {
+    "thermalization": THERMALIZATION_DEFAULTS,
+    "nonmarkov_sweep": NONMARKOV_DEFAULTS,
+    "battery": BATTERY_DEFAULTS,
+    "two_qubit_local_global": TWO_QUBIT_DEFAULTS,
+    "landauer": LANDAUER_DEFAULTS,
+    "continuous_limit": CONTINUOUS_DEFAULTS,
+}
 
 
 def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
                  log_base: float = 2.0) -> ScenarioResult:
-    if name not in SCENARIOS:
-        raise KeyError(name)
-    return SCENARIOS[name](overrides or {}, seed=seed, log_base=log_base)
+    """Run scenario ``name`` with its defaults updated by ``overrides``.
+
+    The summary opens with the merged parameters, the seed and the log
+    base, followed by the scenario's findings.  An unknown ``name`` raises
+    ``KeyError``.
+    """
+    p = _merge(DEFAULTS[name], overrides or {}, name)
+    findings, traj = SCENARIOS[name](p, seed, log_base)
+    return ScenarioResult(name, {"params": p, "seed": seed, "log_base": log_base,
+                                 **findings}, traj)
 
 
 def _check_ledger(traj: Trajectory, ledger: thermo.ThermoLedger):

@@ -132,6 +132,10 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(qubit_config(n_steps=0))
 
+    def test_negative_seed_disallowed(self):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            run(qubit_config(rng_seed=-1))
+
     def test_markovian_distance_to_thermal_nonincreasing(self):
         cfg = qubit_config(theta=0.4, n_steps=40)
         traj = run(cfg)
@@ -177,7 +181,7 @@ class TestRun:
             qubit_config(n_steps=4, backend="full", full_factor_cap=4).validate()
 
     def test_full_backend_retains_joint(self):
-        cfg = qubit_config(n_steps=3, backend="full", keep_joint_snapshots=True)
+        cfg = qubit_config(n_steps=3, backend="full")
         traj = run(cfg)
         assert traj.joint_snapshots[-1].shape == (16, 16)
         qstate.validate_density_matrix(traj.joint_snapshots[-1])
@@ -436,8 +440,7 @@ class TestRunStack:
                                         ("incoherent", 0.5)])
     def test_members_match_single_runs(self, backend, mode, p):
         cfg = qubit_config(theta=0.8, n_steps=5, aa_mode=mode, aa_swap_prob=p,
-                           erasure_lambda=0.8, rng_seed=11, backend=backend,
-                           keep_joint_snapshots=True)
+                           erasure_lambda=0.8, rng_seed=11, backend=backend)
         inits = random_stack(np.random.default_rng(8))
         stack = run_stack(cfg, inits)
         for b, init in enumerate(inits):
@@ -459,16 +462,15 @@ class TestRunStack:
                         assert getattr(ra, name) == value, name
             assert np.array_equal(member.config.system_init, init)
 
-    def test_two_streams_and_no_snapshots(self):
+    def test_two_streams(self):
         h = SZ / 2
         streams = [AncillaStream(2, h, qstate.thermal_state(h, b), beta=b)
                    for b in (0.5, 2.0)]
         v = linalg.kron(SX, SX) + linalg.kron(SY, SY)
         cfg = CollisionConfig(2, h, EXCITED, streams, [v, v], coupling=0.7,
-                              n_steps=4, keep_snapshots=False)
+                              n_steps=4)
         inits = random_stack(np.random.default_rng(9), n=3)
         stack = run_stack(cfg, inits)
-        assert stack.snapshots is None
         single = run(replace(cfg, system_init=inits[2]))
         assert [r.stream for r in stack.member(2).records] == [0, 1, 0, 1]
         assert stack.member(2).records[3].Q == pytest.approx(single.records[3].Q,

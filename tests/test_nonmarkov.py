@@ -167,8 +167,7 @@ class TestBoundReports:
 
     def test_revival_is_bounded(self):
         cfg = qubit_config(n_steps=8, aa_mode="coherent", aa_swap_prob=1.0)
-        ta, tb = run_paired(replace(cfg, backend="full",
-                                    keep_joint_snapshots=True), EXCITED, GROUND)
+        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
         series = nonmarkov.distinguishability_series(ta, tb)
         s = nonmarkov.first_revival_step(series)
         assert s is not None
@@ -178,16 +177,14 @@ class TestBoundReports:
 
     def test_exhaustive_family_holds(self):
         cfg = qubit_config(n_steps=6, aa_mode="coherent", aa_swap_prob=0.8)
-        ta, tb = run_paired(replace(cfg, backend="full",
-                                    keep_joint_snapshots=True), EXCITED, GROUND)
+        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
         reports = nonmarkov.all_pair_bound_reports(ta, tb)
         assert len(reports) == 7 * 8 // 2
         assert min(r.slack for r in reports) >= -1e-9
 
     def test_time_ordering_required(self):
         cfg = qubit_config(n_steps=4, aa_mode="coherent", aa_swap_prob=1.0)
-        ta, tb = run_paired(replace(cfg, backend="full",
-                                    keep_joint_snapshots=True), EXCITED, GROUND)
+        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
         with pytest.raises(ConfigError):
             nonmarkov.bound_report_from_pair(ta, tb, 3, 1)
 

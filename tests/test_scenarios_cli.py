@@ -8,6 +8,14 @@ from collisim import cli, scenarios
 from collisim.errors import ConfigError
 
 FAST = {"n_steps": 150}  # enough steps for the default flux window
+SMALL = {  # a few collisions per scenario, enough for every window
+    "thermalization": {"n_steps": 10},
+    "nonmarkov_sweep": {"n_steps": 4, "p_grid": [0.5], "bound_steps": 2},
+    "battery": {"n_steps": 20, "window": 5},
+    "two_qubit_local_global": {"n_steps": 60, "window": 20},
+    "landauer": {"n_steps": 120, "window": 20, "beta_grid": [1.0]},
+    "continuous_limit": {"total_time": 1.0, "tau_grid": [0.1, 0.05]},
+}
 
 
 class TestRegistry:
@@ -29,6 +37,26 @@ class TestRegistry:
         assert result.summary["params"]["n_steps"] == 150
         assert result.summary["seed"] == 0
         assert result.summary["log_base"] == 2.0
+
+
+class TestRunner:
+    def test_defaults_match_registry(self):
+        assert set(scenarios.DEFAULTS) == set(scenarios.SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+    def test_echoed_defaults_are_valid_overrides(self, name):
+        # every default has a type the override check handles, so the
+        # parameters a summary echoes are themselves a valid override set
+        echoed = scenarios._merge(scenarios.DEFAULTS[name], {}, name)
+        assert scenarios._merge(scenarios.DEFAULTS[name], echoed, name) == echoed
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_summary_opens_with_echo(self, name):
+        result = scenarios.run_scenario(name, SMALL[name], seed=3, log_base=math.e)
+        params = scenarios._merge(scenarios.DEFAULTS[name], SMALL[name], name)
+        assert list(result.summary.items())[:3] == [
+            ("params", params), ("seed", 3), ("log_base", math.e)]
+        assert result.trajectory.config.rng_seed == 3
 
 
 class TestTrajectoryOutput:
@@ -182,12 +210,42 @@ class TestCli:
         ("nonmarkov_sweep", {"bound_steps": 2.5}, "bound_steps"),
         ("continuous_limit", {"total_time": math.nan}, "total_time"),
         ("continuous_limit", {"tau_grid": [0.1, 0.0]}, "tau_grid"),
+        ("nonmarkov_sweep", {"modes": []}, "modes"),
+        ("nonmarkov_sweep", {"p_grid": []}, "p_grid"),
+        ("landauer", {"beta_grid": []}, "beta_grid"),
+        # a non-finite Hamiltonian scale is rejected before inf * 0 gives NaN
+        ("thermalization", {"omega": math.inf}, "'omega'"),
+        ("thermalization", {"omega": math.nan}, "'omega'"),
+        ("nonmarkov_sweep", {"omega": math.inf}, "'omega'"),
+        ("battery", {"omega": math.inf}, "'omega'"),
+        ("landauer", {"omega": -math.inf}, "'omega'"),
+        ("continuous_limit", {"omega": math.inf}, "'omega'"),
+        ("two_qubit_local_global", {"J": math.inf}, "'J'"),
+        ("two_qubit_local_global", {"Jz": -math.inf}, "'Jz'"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"overrides": overrides}))
         code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,argv,key", [
+        ({"seed": "abc"}, [], "seed"),
+        ({"seed": 1.7}, [], "seed"),
+        ({"seed": True}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"log_base": "10"}, [], "log_base"),
+        ({"log_base": 10}, [], "log_base"),
+        ({"log_base": 2.5}, [], "log_base"),
+    ])
+    def test_bad_top_level_value_is_config_error(self, tmp_path, capsys, doc, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "overrides": {"n_steps": 10}}))
+        code = cli.main(["thermalization", "--config", str(cfg), "--out", str(tmp_path),
+                         *argv])
         assert code == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
