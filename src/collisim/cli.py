@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, IntegrityError, NotConvergedError
-from .scenarios import (SCENARIOS, run_scenario, write_trajectory_csv,
-                        write_trajectory_json)
+from .scenarios import (SCENARIOS, run_scenario, trajectory_rows,
+                        write_trajectory_csv, write_trajectory_json)
 
 EXIT_OK = 0
 EXIT_UNKNOWN_SCENARIO = 2
@@ -86,13 +86,14 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = out_dir / f"{args.scenario}_{seed}"
+        rows = trajectory_rows(result.trajectory)  # checked once, for every writer
         written = []
         if emit in ("csv", "both"):
-            write_trajectory_csv(result.trajectory, stem.with_suffix(".csv"))
+            write_trajectory_csv(result.trajectory, stem.with_suffix(".csv"), rows)
             written.append(str(stem.with_suffix(".csv")))
         if emit in ("json", "both"):
             write_trajectory_json(result.trajectory, result.summary,
-                                  stem.with_suffix(".json"))
+                                  stem.with_suffix(".json"), rows)
             written.append(str(stem.with_suffix(".json")))
         print(json.dumps({"scenario": args.scenario, "seed": seed,
                           "outputs": written, "summary": result.summary}))

@@ -5,32 +5,37 @@ fresh environmental units, optionally with ancilla-ancilla collisions
 (stochastic partial SWAP, coherent or incoherent) and partial erasure of
 the correlations left behind by each collision.
 
-One stepping loop serves both backends, which differ only in what they
-retain after each step: ``windowed`` traces down to the system (or to the
-system plus the fresh unit when ancilla-ancilla collisions are on), so it
-carries at most the system and two live ancillas; ``full`` keeps every
-ancilla in one joint state, stores that joint state after every step, and
-serves as the exact small-instance oracle.  Both store the system state
-after every step.
+A run propagates a stack of B initial system states at once, under one
+configuration and one coin sequence, and then accounts for it.
 
-The loop propagates a stack of B initial system states at once, under one
-configuration and one coin sequence: every state carries a leading batch
-axis, and the per-step ledger is computed once per step for the whole
-stack.  ``run_stack`` returns the stack; ``run`` is a stack of one.
+Propagation stores the carried state before every step: the system, plus
+the last unit when unit-unit collisions are on (before the first step, a
+fresh unit that step ignores).  Each step applies one of a few fixed
+maps: one per stream, and with unit-unit collisions one without and one
+with that collision.  Within a step: append the fresh unit, collide it
+with the carried unit, then with the system, then erase.  Every collision
+is a local gate, contracted into the state's factors (``linalg.conjugate``
+with targets) and never lifted to the whole space.  The ``windowed``
+backend iterates the maps as superoperators: one transfer matrix per map,
+built at the start of the run, and one matrix product per step on the
+vectorized stack; erasure of a carried unit's correlations, which is not
+linear, follows as an explicit step.  The ``full`` backend keeps every
+unit in one joint state, stores it after every step as the exact
+small-instance oracle, and stores its carried part too.
 
-The ledger is stored only as the loop computes it, one column per name in
-``LEDGER_FIELDS`` (plus ``D_pair`` for paired runs); ``Trajectory.records``
-is a read-only view that builds ``CollisionRecord`` rows from the columns.
+Accounting then rebuilds each step's states as linear images of its
+carried state, in blocks of about ``LEDGER_BLOCK`` states (steps times
+stack members), and computes the ledger of a block in one batched pass:
+one column per name in ``LEDGER_FIELDS`` (plus ``D_pair`` for paired
+runs).  One function serves both backends.  ``Trajectory.records`` is a
+read-only view that builds ``CollisionRecord`` rows from the columns.
 
-Step ordering: append fresh unit, ancilla-ancilla collision between the
-carried and fresh unit, system-fresh collision, erasure, integrity check,
-ledger, retention.  Every collision is a local gate: its two-site unitary is
-contracted into the joint state's factors (``linalg.conjugate`` with
-targets), never lifted to the whole space.  The integrity check tests
-the eigenvalue floor with a Cholesky factorization and computes the
-spectrum only when that fails.  Incoherent ancilla-ancilla swaps consume
-exactly one coin per step, drawn from ``rng_seed``, so every run of one
-configuration (both runs of a pair, say) shares one channel realization.
+Integrity: after every step the windowed backend hermitizes and
+renormalizes its carried state, and the full backend checks its joint
+state.  Accounting checks each step's state after collision and erasure,
+by one Cholesky factorization per block that computes spectra only when
+it fails, and then each reduced state against the entropy code's clamp
+window.  An abort names the first failing step and stack member.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from . import linalg, qstate
 from .errors import ConfigError, IntegrityError
 
 PSD_ABORT = -1e-8   # eigenvalue floor beyond which a run aborts
+LEDGER_BLOCK = 256  # states (steps x stack members) accounted at once: bounds memory
 AA_MODES = ("off", "coherent", "incoherent")
 # the per-collision quantities of a CollisionRecord, in declaration order
 LEDGER_FIELDS = ("E_S_pre", "E_S_post", "E_anc_pre", "E_anc_post", "Q", "W",
@@ -329,115 +335,219 @@ def _expect(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.trace(h @ rho, axis1=-2, axis2=-1).real
 
 
-def _integrity(joint: np.ndarray, step: int) -> np.ndarray:
+def _first(bad: np.ndarray, steps) -> tuple[int, int, int]:
+    """Step, stack member and flat index of the first flag in ``bad``, which
+    holds one flag per member at each of ``steps``, step-major."""
+    steps = np.atleast_1d(steps)
+    members, index = bad.size // len(steps), int(np.argmax(bad))
+    return int(steps[index // members]), index % members, index
+
+
+def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     """Check finiteness, hermitize, check the eigenvalue floor, renormalize.
 
-    ``joint`` is one state or a stack (..., d, d), checked by a single
-    Cholesky factorization of joint - PSD_ABORT I.  It exists exactly when
-    every member's smallest eigenvalue exceeds PSD_ABORT; only when it
+    ``joint`` is one state or a stack (B, d, d) at step ``steps``, or a
+    block (n, B, d, d) of stacks at the n steps ``steps``, checked by a
+    single Cholesky factorization of joint - PSD_ABORT I.  It exists
+    exactly when every smallest eigenvalue exceeds PSD_ABORT; only when it
     fails are the spectra computed, so rounding at the boundary never
-    aborts a run.  An abort names the step and the first failing member.
+    aborts a run.  An abort names the first failing step and stack member.
     """
-    d = joint.shape[-1]
-    finite = np.isfinite(joint.reshape(-1, d * d)).all(axis=1)
+    finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
+        step, member, _ = _first(~finite, steps)
         raise IntegrityError(f"state has non-finite entries at step {step}, "
-                             f"stack member {np.argmin(finite)}")
+                             f"stack member {member}", step)
     joint = linalg.hermitize(joint)
     try:
-        np.linalg.cholesky(joint - PSD_ABORT * np.eye(d))
+        np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
     except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(joint.reshape(-1, d, d))[:, 0]
-        bad = np.flatnonzero(low < PSD_ABORT)
-        if bad.size:
+        low = np.linalg.eigvalsh(joint)[..., 0]
+        if (low < PSD_ABORT).any():
+            step, member, index = _first(low < PSD_ABORT, steps)
             raise IntegrityError(
-                f"state lost positivity at step {step}, stack member {bad[0]}: "
-                f"min eigenvalue {low[bad[0]]:.3g}") from None
+                f"state lost positivity at step {step}, stack member {member}: "
+                f"min eigenvalue {np.ravel(low)[index]:.3g}", step) from None
     return joint / np.trace(joint, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _ledger(cfg: CollisionConfig, step: int, st: AncillaStream, pre_s, pre_e,
-            post_s, post_e, pair, aa_active: bool) -> tuple[np.ndarray, ...]:
-    """The ledger of one collision for every stack member.
+def _step_keys(cfg: CollisionConfig) -> np.ndarray:
+    """The map of each step: its stream's index, plus the number of streams
+    when a unit-unit collision acts at that step (the second step on).
 
-    Returns one (B,) array per name in ``LEDGER_FIELDS``, in that order.
-
-    A reduced state outside the entropy code's eigenvalue clamp window is a
-    broken propagated state, so it aborts with ``IntegrityError``.
+    Incoherent unit-unit collisions consume one coin per step, drawn from
+    ``rng_seed``, and act when it is below ``aa_swap_prob``, so every run of
+    one configuration (both runs of a pair, say) shares one realization.
     """
+    keys = cfg.stream_index()
+    if cfg.aa_mode == "off":
+        return keys
+    acts = np.arange(cfg.n_steps) >= 1
+    if cfg.aa_mode == "incoherent":  # drawn only where read: numpy.random costs 6 MB
+        acts &= np.random.default_rng(cfg.rng_seed).random(cfg.n_steps) < cfg.aa_swap_prob
+    return keys + len(cfg.streams) * acts
+
+
+def _carried_dims(cfg: CollisionConfig) -> list[int]:
+    """Factors of the windowed carried state: the system, and the last unit
+    when unit-unit collisions are on."""
+    return [cfg.system_dim] + [cfg.streams[0].dim] * (cfg.aa_mode != "off")
+
+
+def _collide(cfg: CollisionConfig, unitaries, state, dims: list[int], key: int):
+    """A step of map ``key`` on ``state`` with factors ``dims``: append the
+    fresh unit, collide it with the last unit if the key says so, then with
+    the system.  Returns the state before and after the system-unit
+    collision and its factors; linear in ``state``, a stack of any shape."""
+    si = key % len(cfg.streams)
+    before = linalg.kron(state, cfg.streams[si].init_state)
+    dims = dims + [cfg.streams[si].dim]
+    fresh = len(dims) - 1
+    if key >= len(cfg.streams):
+        before = apply_aa_collision(before, dims, [fresh - 1, fresh], cfg.aa_swap_prob,
+                                    cfg.aa_mode, cfg.aa_theta, coin=0.0)
+    return before, linalg.conjugate(unitaries[si], before, dims, [0, fresh]), dims
+
+
+def _kept(cfg: CollisionConfig, dims: list[int]) -> list[int]:
+    """The factors of ``dims`` (after a step) that the next step carries."""
+    return [0] if cfg.aa_mode == "off" else [0, len(dims) - 1]
+
+
+def _iterate(cfg: CollisionConfig, unitaries, keys: np.ndarray, carried: np.ndarray):
+    """The windowed backend: fill ``carried[1:]`` from ``carried[0]``.
+
+    Each step multiplies the row-major vectorized carried states by the
+    transfer map of its key, built once per run by pushing the matrix
+    units through ``_collide``; erasure, when a unit is carried, is the one
+    nonlinear step.
+    """
+    dims, dc = _carried_dims(cfg), carried.shape[-1]
+    units = np.eye(dc * dc, dtype=complex).reshape(-1, dc, dc)
+    maps = []
+    for key in range(int(keys.max()) + 1):
+        _, after, out = _collide(cfg, unitaries, units, dims, key)
+        maps.append(linalg.partial_trace(after, out, _kept(cfg, out)).reshape(dc * dc, -1))
+    c = carried[0]
+    for k, key in enumerate(keys.tolist()):
+        # one product per member: a member's state does not depend on its stack
+        c = (c.reshape(-1, 1, dc * dc) @ maps[key]).reshape(-1, dc, dc)
+        if len(dims) > 1:  # a carried unit: erasure is the one nonlinear step
+            c = erase_correlations(c, dims, cfg.erasure_lambda)
+        c = linalg.hermitize(c)
+        carried[k + 1] = c = c / c.trace(axis1=1, axis2=2).real[:, None, None]
+
+
+def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
+          carried: np.ndarray) -> list[np.ndarray]:
+    """The full backend: the whole joint state, checked after every step,
+    with its carried part stored in ``carried``.  Returns the joint states."""
+    joint, dims, joints = inits, [cfg.system_dim], [inits]
+    for k, key in enumerate(keys.tolist()):
+        joint, dims = _collide(cfg, unitaries, joint, dims, key)[1:]
+        joint = _integrity(erase_correlations(joint, dims, cfg.erasure_lambda), k)
+        joints.append(joint)
+        carried[k + 1] = linalg.partial_trace(joint, dims, _kept(cfg, dims))
+    return joints
+
+
+def _block_ledger(cfg: CollisionConfig, unitaries, key: int, carried: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """The ledger of ``steps``, all of map ``key``, from their carried
+    states: one (n, B) array per name in ``LEDGER_FIELDS``.
+
+    A state that fails the integrity check after the collision and erasure,
+    or a reduced state outside the entropy code's eigenvalue clamp window,
+    aborts with ``IntegrityError`` naming the first failing step and member.
+    """
+    st = cfg.streams[key % len(cfg.streams)]
+    before, after, dims = _collide(cfg, unitaries, carried, _carried_dims(cfg), key)
+    fresh = len(dims) - 1
+    pre_s, pre_e = (linalg.partial_trace(before, dims, [i]) for i in (0, fresh))
+    del before  # the largest states of a block: keep at most two alive
+    try:
+        after = _integrity(erase_correlations(after, dims, cfg.erasure_lambda), steps)
+    except IntegrityError as exc:
+        earlier = steps < exc.step  # a reduced state may have failed there
+        if earlier.any():
+            _block_ledger(cfg, unitaries, key, carried[earlier], steps[earlier])
+        raise
+    post_s, post_e, pair = (linalg.partial_trace(after, dims, keep)
+                            for keep in ([0], [fresh], [0, fresh]))
+    reduced = (pre_s, pre_e, post_s, post_e, pair)
     base = cfg.log_base
+    try:
+        s_s_pre, s_a_pre, s_s_post, s_a_post, s_pair = (
+            qstate.von_neumann_entropy(x, base) for x in reduced)
+    except ConfigError:
+        low = np.min([np.linalg.eigvalsh(linalg.hermitize(x))[..., 0] for x in reduced],
+                     axis=0)
+        step, member, index = _first(low < -qstate.EIG_CLAMP, steps)
+        raise IntegrityError(f"reduced state broken at step {step}, stack member {member}: "
+                             f"eigenvalue {np.ravel(low)[index]:.3g} below the clamp "
+                             "window", step) from None
     e_s_pre = _expect(cfg.system_hamiltonian, pre_s)
     e_s_post = _expect(cfg.system_hamiltonian, post_s)
-    e_a_pre = _expect(st.hamiltonian, pre_e)
-    e_a_post = _expect(st.hamiltonian, post_e)
+    e_a_pre, e_a_post = _expect(st.hamiltonian, pre_e), _expect(st.hamiltonian, post_e)
     q = e_a_post - e_a_pre
-    try:
-        s_s_pre = qstate.von_neumann_entropy(pre_s, base)
-        s_s_post = qstate.von_neumann_entropy(post_s, base)
-        s_a_pre = qstate.von_neumann_entropy(pre_e, base)
-        s_a_post = qstate.von_neumann_entropy(post_e, base)
-        d_rel = qstate.relative_entropy(post_e, pre_e, base)
-        i_se = (s_s_post + s_a_post) - qstate.von_neumann_entropy(pair, base)
-    except ConfigError as exc:
-        raise IntegrityError(f"reduced state broken at step {step}: {exc}") from exc
-    if st.beta is not None and not aa_active:
-        # thermal fresh unit: Sigma = dS_S + beta Q equals I_SE + D_relent
-        sigma = (s_s_post - s_s_pre) + st.beta * q / math.log(base)
-    else:
-        sigma = (s_s_post - s_s_pre) + (s_a_post - s_a_pre)
-    return (e_s_pre, e_s_post, e_a_pre, e_a_post, q, (e_s_post - e_s_pre) + q,
-            s_s_pre, s_s_post, s_a_pre, s_a_post, i_se, sigma, d_rel)
+    sigma = (s_s_post - s_s_pre) + (s_a_post - s_a_pre)
+    if st.beta is not None:
+        # thermal unit uncorrelated with the system: Sigma = dS_S + beta Q
+        # equals I_SE + D_relent
+        fresh_unit = (steps == 0) | (cfg.aa_mode == "off")
+        sigma = np.where(fresh_unit[:, None],
+                         (s_s_post - s_s_pre) + st.beta * q / math.log(base), sigma)
+    return np.array([e_s_pre, e_s_post, e_a_pre, e_a_post, q, (e_s_post - e_s_pre) + q,
+                     s_s_pre, s_s_post, s_a_pre, s_a_post, (s_s_post + s_a_post) - s_pair,
+                     sigma, qstate.relative_entropy(post_e, pre_e, base)])
+
+
+def _account(cfg: CollisionConfig, unitaries, keys: np.ndarray,
+             carried: np.ndarray) -> np.ndarray:
+    """The ledger, (len(LEDGER_FIELDS), n_steps, B), from the carried states.
+
+    Steps are accounted in blocks of about ``LEDGER_BLOCK`` states (steps
+    times stack members), the steps of one map together, so the rebuilt
+    states take bounded memory.  An abort names the first failing step.
+    """
+    ledger = np.empty((len(LEDGER_FIELDS), len(keys), carried.shape[1]))
+    size = max(1, LEDGER_BLOCK // carried.shape[1])
+    for start in range(0, len(keys), size):
+        block, failures = np.arange(start, min(start + size, len(keys))), []
+        for key in np.unique(keys[block]).tolist():
+            steps = block[keys[block] == key]
+            try:
+                ledger[:, steps] = _block_ledger(cfg, unitaries, key, carried[steps], steps)
+            except IntegrityError as exc:
+                failures.append(exc)
+        if failures:
+            raise min(failures, key=lambda exc: exc.step)
+    return ledger
 
 
 def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
-    """The stepping loop of both backends, over the (B, d_S, d_S) stack ``inits``."""
+    """Propagate the (B, d_S, d_S) stack ``inits``, then account for it."""
     cfg.validate()
     unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
-    # drawn afresh from the seed on every run, so all runs of one config
-    # share one channel realization; drawn only where read, because
-    # importing numpy.random costs about 6 MB
-    coins = (np.random.default_rng(cfg.rng_seed).random(cfg.n_steps)
-             if cfg.aa_mode == "incoherent" else np.zeros(cfg.n_steps))
-    full = cfg.backend == "full"
-    joint = inits = np.array(inits, dtype=complex)
-    dims = [cfg.system_dim]
-    # preallocated: a list of per-step arrays costs far more memory
-    ledger = np.empty((len(LEDGER_FIELDS), cfg.n_steps, len(inits)))
-    snapshots = np.empty((cfg.n_steps + 1,) + inits.shape, dtype=complex)
-    snapshots[0] = inits
-    joints = [joint] if full else None
-    for k, si in enumerate(cfg.stream_index().tolist()):
-        st = cfg.streams[si]
-        joint = linalg.kron(joint, st.init_state)
-        dims = dims + [st.dim]
-        fresh = len(dims) - 1
-        aa_active = cfg.aa_mode != "off" and fresh >= 2
-        if aa_active:
-            joint = apply_aa_collision(joint, dims, [fresh - 1, fresh],
-                                       cfg.aa_swap_prob, cfg.aa_mode,
-                                       cfg.aa_theta, coins[k])
-        pre_s = linalg.partial_trace(joint, dims, [0])
-        pre_e = linalg.partial_trace(joint, dims, [fresh])
-        joint = linalg.conjugate(unitaries[si], joint, dims, [0, fresh])
-        joint = erase_correlations(joint, dims, cfg.erasure_lambda)
-        joint = _integrity(joint, k)
-        post_s = linalg.partial_trace(joint, dims, [0])
-        post_e = linalg.partial_trace(joint, dims, [fresh])
-        pair = linalg.partial_trace(joint, dims, [0, fresh])
-        ledger[:, k] = _ledger(cfg, k, st, pre_s, pre_e, post_s, post_e, pair,
-                               aa_active)
-        snapshots[k + 1] = post_s
-        # retention: full keeps everything, windowed only what the next
-        # step can touch
-        if full:
-            joints.append(joint)
-        elif cfg.aa_mode == "off":
-            joint, dims = post_s, [cfg.system_dim]
-        else:
-            joint, dims = pair, [cfg.system_dim, st.dim]
-    return TrajectoryStack(
-        config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
-        snapshots=snapshots, joint_snapshots=joints)
+    keys = _step_keys(cfg)
+    inits = np.array(inits, dtype=complex)
+    dims = _carried_dims(cfg)
+    # before the first step the carried unit is a fresh one that step ignores
+    first = linalg.kron(inits, cfg.streams[0].init_state) if len(dims) > 1 else inits
+    carried = np.empty((cfg.n_steps + 1,) + first.shape, dtype=complex)
+    carried[0] = first
+    joints = None
+    if cfg.backend == "full":
+        joints = _grow(cfg, unitaries, keys, inits, carried)
+    else:
+        _iterate(cfg, unitaries, keys, carried)
+    snapshots = carried
+    if len(dims) > 1:
+        snapshots = linalg.partial_trace(carried, dims, [0])
+        snapshots[0] = inits
+    ledger = _account(cfg, unitaries, keys, carried)
+    return TrajectoryStack(config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
+                           snapshots=snapshots, joint_snapshots=joints)
 
 
 def run(cfg: CollisionConfig) -> Trajectory:

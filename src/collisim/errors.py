@@ -6,7 +6,14 @@ class ConfigError(ValueError):
 
 
 class IntegrityError(RuntimeError):
-    """A propagated state violated positivity/trace beyond tolerance."""
+    """A propagated state violated positivity/trace beyond tolerance.
+
+    Carries the step at which it was found, if known.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class NotConvergedError(RuntimeError):

@@ -130,29 +130,36 @@ NONMARKOV_DEFAULTS = {
 
 
 def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
-    sweep = []
+    if not p["bound_steps"] >= 1:
+        raise ConfigError(f"bound_steps must be >= 1, got {p['bound_steps']!r}")
+    sweep, done = [], {}
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent
     rep_traj, rep_p = None, -math.inf
     for mode in p["modes"]:
         for prob in p["p_grid"]:
-            cfg = _pswap_config(p, seed, log_base,
-                                aa_mode=mode if prob > 0 else "off",
-                                aa_swap_prob=prob, pair_metric=p["metric"])
-            traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
-            series = nonmarkov.distinguishability_series(traj_a, traj_b, p["metric"])
-            # bound verification on the exact full-state backend; the joint
-            # snapshots of the oracle pair are freed once the reports exist
-            reports = nonmarkov.all_pair_bound_reports(*run_paired(
-                replace(cfg, n_steps=p["bound_steps"], backend="full"),
-                EXCITED, GROUND), p["metric"])
-            sweep.append({
-                "mode": mode, "p": prob,
-                "blp": nonmarkov.blp_measure(series),
-                "first_revival_step": nonmarkov.first_revival_step(series),
-                "min_bound_slack": float(min(r.slack for r in reports)),
-                "max_revival_lhs": float(max(r.lhs for r in reports)),
-            })
+            # p = 0 is the memoryless channel in both modes, and incoherent
+            # p = 1 swaps at every step (each coin is below 1), as coherent
+            # p = 1 does: each distinct channel runs once
+            channel = ("off" if prob == 0 else "coherent" if prob == 1 else mode, prob)
+            if channel not in done:
+                cfg = _pswap_config(p, seed, log_base, aa_mode=channel[0],
+                                    aa_swap_prob=prob, pair_metric=p["metric"])
+                traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
+                series = nonmarkov.distinguishability_series(traj_a, traj_b, p["metric"])
+                # bound verification on the exact full-state backend; the joint
+                # snapshots of the oracle pair are freed once the reports exist
+                reports = nonmarkov.all_pair_bound_reports(*run_paired(
+                    replace(cfg, n_steps=p["bound_steps"], backend="full"),
+                    EXCITED, GROUND), p["metric"])
+                done[channel] = traj_a, {
+                    "blp": nonmarkov.blp_measure(series),
+                    "first_revival_step": nonmarkov.first_revival_step(series),
+                    "min_bound_slack": float(min(r.slack for r in reports)),
+                    "max_revival_lhs": float(max(r.lhs for r in reports)),
+                }
+            traj_a, findings = done[channel]
+            sweep.append({"mode": mode, "p": prob, **findings})
             if mode == "coherent" and prob >= rep_p:
                 rep_traj, rep_p = traj_a, prob
             elif rep_p == -math.inf:
@@ -313,6 +320,9 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
     for tau in p["tau_grid"]:
         theta = math.sqrt(p["gamma"] * tau)
         n = int(round(p["total_time"] / tau))
+        if n < 1:
+            raise ConfigError(f"total_time {p['total_time']!r} rounds to zero "
+                              f"collisions at the tau_grid step {tau!r}")
         cfg = CollisionConfig(
             system_dim=2, system_hamiltonian=h, system_init=EXCITED,
             streams=[stream], interactions=[partial_swap_interaction(2)],
@@ -395,18 +405,22 @@ def trajectory_rows(traj: Trajectory) -> list[tuple]:
     return list(zip(*(getattr(ledger, name).tolist() for name in CSV_HEADER.split(","))))
 
 
-def write_trajectory_csv(traj: Trajectory, path):
+def write_trajectory_csv(traj: Trajectory, path, rows: list[tuple] | None = None):
+    """The trajectory as CSV; ``rows`` are its ``trajectory_rows`` if already built."""
     with open(path, "w") as fh:
         fh.write(f"# schema_version {CSV_SCHEMA_VERSION}\n")
         fh.write(CSV_HEADER + "\n")
-        for row in trajectory_rows(traj):
+        for row in trajectory_rows(traj) if rows is None else rows:
             cells = [str(row[0])] + [f"{x:.17g}" for x in row[1:]]
             fh.write(",".join(cells) + "\n")
 
 
-def write_trajectory_json(traj: Trajectory, summary: dict, path):
+def write_trajectory_json(traj: Trajectory, summary: dict, path,
+                          rows: list[tuple] | None = None):
+    """The summary and the trajectory as JSON; ``rows`` as in the CSV writer."""
     names = CSV_HEADER.split(",")
-    records = [dict(zip(names, row)) for row in trajectory_rows(traj)]
+    records = [dict(zip(names, row))
+               for row in (trajectory_rows(traj) if rows is None else rows)]
     doc = {"schema_version": CSV_SCHEMA_VERSION, "summary": summary,
            "records": records}
     with open(path, "w") as fh:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from collisim import scenarios
+
+# property tests draw the same examples on every run, with no time limit per
+# example (timings drift on shared machines) and no example database
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None,
+                          max_examples=100)
+settings.load_profile("tier1")
 
 
 def random_density_matrix(rng, dim):

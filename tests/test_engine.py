@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collisim import engine, linalg, nonmarkov, qstate
 from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
@@ -119,6 +121,51 @@ class TestBackendAgreement:
             assert ra.Q == pytest.approx(rb.Q, abs=1e-12)
             assert ra.W == pytest.approx(rb.W, abs=1e-12)
             assert ra.I_SE == pytest.approx(rb.I_SE, abs=1e-10)
+
+
+@st.composite
+def small_runs(draw):
+    """A random small configuration and initial stack: qubit system and
+    units, one or two streams (unit-unit collisions need one), any
+    erasure, up to three members and six steps.
+
+    Hypothesis draws the structure and a seed; the seed draws the matrices
+    and the continuous parameters, so no example is degenerate by accident.
+    Probabilities and the erasure strength may also sit at 0 or 1.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unit_interval():
+        return draw(st.sampled_from([rng.uniform(), 0.0, 1.0]))
+
+    mode = draw(st.sampled_from(("coherent", "incoherent", "off")))
+    n_streams = draw(st.integers(1, 2)) if mode == "off" else 1
+    streams = []
+    for _ in range(n_streams):
+        h = random_hermitian(rng, 2)
+        beta = draw(st.sampled_from([rng.uniform(0.1, 3.0), None]))
+        init = random_density_matrix(rng, 2) if beta is None else qstate.thermal_state(h, beta)
+        streams.append(AncillaStream(2, h, init, beta=beta))
+    cfg = CollisionConfig(
+        2, random_hermitian(rng, 2), EXCITED, streams,
+        [random_hermitian(rng, 4) for _ in streams], tau=rng.uniform(0.1, 2.0),
+        coupling=rng.uniform(0.1, 1.5), n_steps=draw(st.integers(1, 6)),
+        aa_swap_prob=unit_interval(), aa_mode=mode, aa_theta=rng.uniform(0.0, math.pi),
+        erasure_lambda=unit_interval(), rng_seed=draw(st.integers(0, 1000)))
+    return cfg, random_stack(rng, n=draw(st.integers(1, 3)))
+
+
+class TestBackendProperty:
+    @given(small_runs())
+    def test_windowed_equals_full(self, run_args):
+        cfg, inits = run_args
+        windowed = run_stack(cfg, inits)
+        full = run_stack(replace(cfg, backend="full"), inits)
+        np.testing.assert_allclose(windowed.snapshots, full.snapshots, rtol=0, atol=1e-10)
+        assert windowed.ledger.keys() == full.ledger.keys()
+        for name, column in windowed.ledger.items():
+            np.testing.assert_allclose(column, full.ledger[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
 
 
 class TestRun:
@@ -403,31 +450,83 @@ class TestIntegrity:
         assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-14, rtol=0)
 
 
-class TestLedger:
-    def reduced_states(self):
-        rng = np.random.default_rng(4)
-        pair = np.array([random_density_matrix(rng, 4) for _ in range(3)])
-        post_s = linalg.partial_trace(pair, [2, 2], [0])
-        post_e = linalg.partial_trace(pair, [2, 2], [1])
-        return post_s.copy(), post_e.copy(), post_s, post_e, pair
+def account(cfg, carried):
+    """The deferred accounting of ``cfg`` over the carried states ``carried``."""
+    unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
+    return engine._account(cfg, unitaries, engine._step_keys(cfg), carried)
 
+
+def carried_states(n_steps=8, members=3):
+    """Valid qubit states, (n_steps + 1, members, 2, 2)."""
+    rng = np.random.default_rng(4)
+    return np.array([[random_density_matrix(rng, 2) for _ in range(members)]
+                     for _ in range(n_steps + 1)])
+
+
+class TestLedger:
     def test_eigenvalue_below_clamp_is_integrity_error(self):
         # -1e-9 passes the PSD_ABORT floor of the joint state but lies below
         # the entropy code's clamp window: a broken state, not bad input
-        cfg = qubit_config()
-        pre_s, pre_e, post_s, post_e, pair = self.reduced_states()
-        post_s[1] = np.diag([1.0 + 1e-9, -1e-9])
+        cfg = qubit_config(n_steps=8)
+        carried = carried_states()
+        carried[7, 1] = np.diag([1.0 + 1e-9, -1e-9])
         assert engine.PSD_ABORT < -1e-9 < -qstate.EIG_CLAMP
         with pytest.raises(IntegrityError, match="step 7"):
-            engine._ledger(cfg, 7, cfg.streams[0], pre_s, pre_e, post_s, post_e,
-                           pair, False)
+            account(cfg, carried)
 
     def test_fields_per_member(self):
-        cfg = qubit_config()
-        states = self.reduced_states()
-        ledger = engine._ledger(cfg, 0, cfg.streams[0], *states, False)
+        ledger = account(qubit_config(n_steps=8), carried_states())
         assert len(ledger) == len(engine.LEDGER_FIELDS)
-        assert all(v.shape == (3,) for v in ledger)
+        assert all(v.shape == (8, 3) for v in ledger)
+
+
+BROKEN = np.diag([1.0 + 1e-6, -1e-6])     # fails the PSD_ABORT floor
+CLAMPED = np.diag([1.0 + 1e-9, -1e-9])    # passes it, fails the clamp window
+
+
+def plant(monkeypatch, step, member, state):
+    """Make the windowed loop store ``state`` as the carried state of stack
+    member ``member`` before step ``step``."""
+    iterate = engine._iterate
+
+    def planted(cfg, unitaries, keys, carried):
+        iterate(cfg, unitaries, keys, carried)
+        carried[step, member] = state
+    monkeypatch.setattr(engine, "_iterate", planted)
+
+
+class TestDeferredAccounting:
+    """Aborts found by the accounting after the loop name the first failing
+    step and stack member."""
+
+    @pytest.mark.parametrize("state,message", [
+        (BROKEN, r"lost positivity at step 4, stack member 2: min eigenvalue -7"),
+        (CLAMPED, r"reduced state broken at step 4, stack member 2"),
+    ])
+    def test_names_step_and_member(self, state, message):
+        carried = carried_states()
+        carried[4, 2] = state
+        with pytest.raises(IntegrityError, match=message):
+            account(qubit_config(n_steps=8), carried)
+
+    def test_through_run_stack(self, monkeypatch):
+        plant(monkeypatch, 5, 1, BROKEN)
+        with pytest.raises(IntegrityError, match="step 5, stack member 1"):
+            run_stack(qubit_config(n_steps=8), random_stack(np.random.default_rng(1), n=3))
+
+    @pytest.mark.parametrize("early,late", [(CLAMPED, BROKEN), (BROKEN, CLAMPED)])
+    def test_first_failing_step_across_checks_and_streams(self, early, late):
+        # steps 1 and 3 are stream 1's, steps 2 and 4 stream 0's, and the
+        # 6 steps of 3 members are accounted in one block
+        assert engine.LEDGER_BLOCK // 3 >= 6
+        carried = carried_states(n_steps=6)
+        carried[4, 0], carried[3, 2] = late, early
+        with pytest.raises(IntegrityError, match="step 3, stack member 2"):
+            account(two_stream_config(), carried)
+        carried[3, 2] = carried[1, 2]
+        carried[2, 1] = early
+        with pytest.raises(IntegrityError, match="step 2, stack member 1"):
+            account(two_stream_config(), carried)
 
 
 def random_stack(rng, n=5, dim=2):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from collisim import cli, scenarios
+from collisim.engine import run_paired
 from collisim.errors import ConfigError
+from test_engine import BROKEN, CLAMPED, plant
 
 FAST = {"n_steps": 150}  # enough steps for the default flux window
 SMALL = {  # a few collisions per scenario, enough for every window
@@ -182,6 +184,25 @@ class TestCli:
         cfg = result.trajectory.config
         assert (cfg.aa_mode, cfg.aa_swap_prob) == ("incoherent", 0.25)
 
+    def test_each_distinct_sweep_channel_runs_once(self, monkeypatch):
+        calls = []
+
+        def counted(cfg, *inits):
+            calls.append((cfg.aa_mode, cfg.aa_swap_prob, cfg.backend))
+            return run_paired(cfg, *inits)
+        monkeypatch.setattr(scenarios, "run_paired", counted)
+        sweep = scenarios.run_scenario("nonmarkov_sweep", {
+            "p_grid": [0.0, 0.5, 1.0], "n_steps": 6, "bound_steps": 3}).summary["sweep"]
+        # p = 0 in either mode and p = 1 in either mode are one channel each
+        assert sorted(calls) == sorted(
+            (mode, p, backend) for mode, p in [("off", 0.0), ("coherent", 0.5),
+                                               ("incoherent", 0.5), ("coherent", 1.0)]
+            for backend in ("windowed", "full"))
+        entries = {(e["mode"], e["p"]): e for e in sweep}
+        for p in (0.0, 1.0):
+            coherent, incoherent = entries["coherent", p], entries["incoherent", p]
+            assert {**coherent, "mode": None} == {**incoherent, "mode": None}
+
     def test_nan_theta_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"overrides": {"theta": NaN, "n_steps": 10}}')
@@ -222,6 +243,10 @@ class TestCli:
         ("continuous_limit", {"omega": math.inf}, "'omega'"),
         ("two_qubit_local_global", {"J": math.inf}, "'J'"),
         ("two_qubit_local_global", {"Jz": -math.inf}, "'Jz'"),
+        # a step count derived from a scenario key is checked under that key
+        ("continuous_limit", {"total_time": 0.01}, "total_time"),
+        ("continuous_limit", {"total_time": 0.01}, "tau_grid"),
+        ("nonmarkov_sweep", {"bound_steps": 0}, "bound_steps"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -255,6 +280,15 @@ class TestCli:
         code = cli.main(["battery", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", [BROKEN, CLAMPED])
+    def test_broken_propagated_state_exits_4(self, tmp_path, capsys, monkeypatch, state):
+        plant(monkeypatch, 6, 0, state)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"n_steps": 10}}))
+        code = cli.main(["thermalization", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTEGRITY
+        assert "step 6, stack member 0" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
