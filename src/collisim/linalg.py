@@ -1,8 +1,8 @@
 """Dense complex matrix kernel.
 
 Tensor products, partial traces, Hermitian eigendecomposition,
-Hamiltonian-generated unitaries, commutators, operator embedding and
-conjugation by an operator on a subset of factors.
+Hamiltonian-generated unitaries, commutators and conjugation by an
+operator on a subset of factors.
 All operators are plain ``numpy.ndarray`` in row-major order; subsystem
 index 0 is always the system, ascending indices are later ancillas, and
 ``kron`` composes left-to-right in that order.  ``kron``, ``hermitize``,
@@ -122,37 +122,14 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(commutator(a, b))))
 
 
-def embed_operator(u: np.ndarray, dims: list[int], targets: list[int]) -> np.ndarray:
-    """Lift an operator acting on ``targets`` to the full factorized space.
-
-    ``u`` must act on the tensor product of dims[targets] in the given
-    target order; identity acts everywhere else.
-    """
-    u = np.asarray(u, dtype=complex)
-    dims = list(dims)
-    n = len(dims)
-    targets = list(targets)
-    rest = [i for i in range(n) if i not in targets]
-    d_t = math.prod(dims[i] for i in targets)
-    if u.shape != (d_t, d_t):
-        raise ConfigError(f"operator shape {u.shape} does not match targets {targets}")
-    big = np.kron(u, np.eye(math.prod([dims[i] for i in rest] or [1])))
-    perm = targets + rest
-    tens = big.reshape([dims[i] for i in perm] * 2)
-    inv = list(np.argsort(perm))
-    tens = tens.transpose(inv + [n + j for j in inv])
-    d = math.prod(dims)
-    return tens.reshape(d, d)
-
-
 def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int] | None = None,
               targets: list[int] | None = None) -> np.ndarray:
     """u rho u†.
 
     With ``dims`` and ``targets``, ``u`` acts on the factors ``targets`` of
-    ``rho`` (in that order, identity elsewhere, as in ``embed_operator``)
-    without building the lift: u (x) conj(u) is contracted into the ket and
-    bra axes of the targets in one pass.  Targets that are all the factors
+    ``rho`` (in that order, identity elsewhere) without lifting it to the
+    whole space: u (x) conj(u) is contracted into the ket and bra axes of
+    the targets in one pass.  Targets that are all the factors
     in order give the dense product.  A stack ``rho`` of shape
     ``(..., d, d)`` is conjugated member by member.
     """

@@ -5,8 +5,8 @@ A revival of the distinguishability between two evolved system states
 signals information returning from the environment.  Revivals are
 quantified by summing positive increments along the series (discrete BLP
 construction) and every revival is bounded by environment-state change
-plus the two system-environment correlation terms, evaluated here on the
-full-state oracle backend.
+plus the two system-environment correlation terms, which ``bound_terms``
+evaluates at every collision index on the full-state oracle backend.
 
 The search for the most non-Markovian pair propagates each row of its
 Bloch grid (one value of cos theta) as a single stack through the
@@ -28,18 +28,12 @@ from .errors import ConfigError
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
 
 
-@dataclass
-class DistinguishabilitySeries:
-    metric: str
-    values: np.ndarray  # one entry per snapshot, index 0 = initial states
-
-
 def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory,
-                              metric: str = "trace") -> DistinguishabilitySeries:
-    """Pointwise metric between the system snapshots of two trajectories."""
-    vals = qstate.state_distance(traj_a.snapshots, traj_b.snapshots, metric,
+                              metric: str = "trace") -> np.ndarray:
+    """Pointwise metric between the system snapshots of two trajectories,
+    one entry per snapshot (index 0 = initial states)."""
+    return qstate.state_distance(traj_a.snapshots, traj_b.snapshots, metric,
                                  traj_a.config.log_base)
-    return DistinguishabilitySeries(metric=metric, values=vals)
 
 
 def blp_measure(series, threshold: float = REVIVAL_THRESHOLD):
@@ -47,18 +41,16 @@ def blp_measure(series, threshold: float = REVIVAL_THRESHOLD):
 
     A 2-D array holds one series per column and gives one sum per column.
     """
-    vals = series.values if isinstance(series, DistinguishabilitySeries) else np.asarray(series)
-    if len(vals) < 2:
+    if len(series) < 2:
         raise ConfigError("series needs at least two points")
-    inc = np.diff(vals, axis=0)
+    inc = np.diff(series, axis=0)
     total = np.where(inc > threshold, inc, 0.0).sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total
 
 
 def first_revival_step(series, threshold: float = REVIVAL_THRESHOLD) -> int | None:
-    """Index n of the first increase values[n] -> values[n+1], or None."""
-    vals = series.values if isinstance(series, DistinguishabilitySeries) else np.asarray(series)
-    idx = np.nonzero(np.diff(vals) > threshold)[0]
+    """Index n of the first increase series[n] -> series[n+1], or None."""
+    idx = np.nonzero(np.diff(series) > threshold)[0]
     return int(idx[0]) if idx.size else None
 
 
@@ -114,62 +106,39 @@ class BoundReport:
         return self.rhs_env + self.rhs_corr_rho + self.rhs_corr_sigma - self.lhs
 
 
-def _bound_terms(traj_a: Trajectory, traj_b: Trajectory, s: int, metric: str):
-    """Environment and correlation terms of the bound at collision index s."""
+def bound_terms(traj_a: Trajectory, traj_b: Trajectory,
+                metric: str = "trace") -> np.ndarray:
+    """The environment term and the two correlation terms of the bound at
+    every collision index of a full-backend pair, as an (n_steps + 1, 3)
+    array; row 0 is zero, since no unit has collided yet."""
+    if traj_a.joint_snapshots is None or traj_b.joint_snapshots is None:
+        raise ConfigError("bound terms need full-backend joint snapshots")
     base = traj_a.config.log_base
-    if s == 0:
-        return 0.0, 0.0, 0.0  # no unit has collided; environment is common and fixed
-    dims = traj_a.joint_dims(s)
-    n = len(dims)
-    env_a = linalg.partial_trace(traj_a.joint_snapshots[s], dims, range(1, n))
-    env_b = linalg.partial_trace(traj_b.joint_snapshots[s], dims, range(1, n))
-    rhs_env = qstate.state_distance(env_a, env_b, metric, base)
-    corr = []
-    for traj, env in ((traj_a, env_a), (traj_b, env_b)):
-        joint = traj.joint_snapshots[s]
-        sys = linalg.partial_trace(joint, dims, [0])
-        corr.append(qstate.state_distance(joint, linalg.kron(sys, env), metric, base))
-    return rhs_env, corr[0], corr[1]
-
-
-def bound_report_from_pair(traj_a: Trajectory, traj_b: Trajectory, s: int, t: int,
-                           metric: str = "trace") -> BoundReport:
-    if t < s:
-        raise ConfigError("bound report needs t >= s")
-    if traj_a.joint_snapshots is None:
-        raise ConfigError("bound report needs full-backend joint snapshots")
-    dist = distinguishability_series(traj_a, traj_b, metric).values
-    rhs_env, corr_a, corr_b = _bound_terms(traj_a, traj_b, s, metric)
-    return BoundReport(s=s, t=t, lhs=float(dist[t] - dist[s]), rhs_env=rhs_env,
-                       rhs_corr_rho=corr_a, rhs_corr_sigma=corr_b)
-
-
-def revival_bound_report(cfg: CollisionConfig, init_a, init_b, s: int, t: int,
-                         metric: str = "trace") -> BoundReport:
-    """Run paired full-backend trajectories and evaluate the bound at (s, t)."""
-    traj_a, traj_b = run_paired(replace(cfg, backend="full"), init_a, init_b)
-    return bound_report_from_pair(traj_a, traj_b, s, t, metric)
+    terms = np.zeros((len(traj_a.joint_snapshots), 3))
+    for s in range(1, len(terms)):
+        dims = traj_a.joint_dims(s)
+        joints = traj_a.joint_snapshots[s], traj_b.joint_snapshots[s]
+        envs = [linalg.partial_trace(joint, dims, range(1, len(dims))) for joint in joints]
+        terms[s, 0] = qstate.state_distance(*envs, metric, base)
+        for i, (joint, env) in enumerate(zip(joints, envs), 1):
+            # the product state stays unnamed: one member's copy at a time
+            terms[s, i] = qstate.state_distance(
+                joint, linalg.kron(linalg.partial_trace(joint, dims, [0]), env),
+                metric, base)
+    return terms
 
 
 def precursor_series(cfg: CollisionConfig, init_a, init_b, metric: str = "trace"):
-    """The three right-hand-side terms of the bound at every collision index.
-
-    Returns (env_term, corr_rho, corr_sigma) arrays of length n_steps + 1.
-    """
-    traj_a, traj_b = run_paired(replace(cfg, backend="full"), init_a, init_b)
-    terms = np.array([_bound_terms(traj_a, traj_b, s, metric)
-                      for s in range(cfg.n_steps + 1)])
+    """The three right-hand-side terms of the bound at every collision index
+    of a full-backend pair: (env_term, corr_rho, corr_sigma), each n_steps + 1 long."""
+    terms = bound_terms(*run_paired(replace(cfg, backend="full"), init_a, init_b), metric)
     return terms[:, 0], terms[:, 1], terms[:, 2]
 
 
 def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory,
                            metric: str = "trace") -> list[BoundReport]:
-    """Exhaustive (s, t) bound family over a completed full-backend pair."""
-    dist = distinguishability_series(traj_a, traj_b, metric).values.tolist()
-    reports = []
-    for s, d_s in enumerate(dist):
-        rhs = _bound_terms(traj_a, traj_b, s, metric)
-        for t in range(s, len(dist)):
-            reports.append(BoundReport(s=s, t=t, lhs=dist[t] - d_s, rhs_env=rhs[0],
-                                       rhs_corr_rho=rhs[1], rhs_corr_sigma=rhs[2]))
-    return reports
+    """Exhaustive (s, t) bound family, t >= s, over a completed full-backend pair."""
+    terms = bound_terms(traj_a, traj_b, metric).tolist()
+    dist = distinguishability_series(traj_a, traj_b, metric).tolist()
+    return [BoundReport(s, t, dist[t] - dist[s], *terms[s])
+            for s in range(len(dist)) for t in range(s, len(dist))]

@@ -5,9 +5,9 @@ rounding).  Entropic quantities take a ``base`` argument; the default is
 base 2 so entropies read in bits and the Jensen-Shannon distance lives in
 [0, 1].  Mixed-base bugs are avoided by threading one base through a run.
 
-The entropies, distances and the mutual information also take stacks of
-shape ``(..., d, d)``: one matrix gives a float, a stack gives an array
-with one value per member.
+The entropies and distances also take stacks of shape ``(..., d, d)``:
+one matrix gives a float, a stack gives one value per member (the
+engine's mutual information is a difference of these entropies).
 """
 
 from __future__ import annotations
@@ -138,14 +138,3 @@ def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",
         return js_distance(rho, sigma, base)
     raise ConfigError(f"unknown metric {metric!r}")
 
-
-def mutual_information(rho_ab: np.ndarray, dims: list[int], split: int,
-                       base: float = 2.0):
-    """S(A) + S(B) - S(AB) across the bipartition dims[:split] | dims[split:]."""
-    n = len(dims)
-    if not 0 < split < n:
-        raise ConfigError(f"bad bipartition split {split} for {n} factors")
-    rho_a = linalg.partial_trace(rho_ab, dims, range(split))
-    rho_b = linalg.partial_trace(rho_ab, dims, range(split, n))
-    return (von_neumann_entropy(rho_a, base) + von_neumann_entropy(rho_b, base)
-            - von_neumann_entropy(rho_ab, base))

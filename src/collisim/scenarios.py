@@ -130,8 +130,6 @@ NONMARKOV_DEFAULTS = {
 
 
 def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
-    if not p["bound_steps"] >= 1:
-        raise ConfigError(f"bound_steps must be >= 1, got {p['bound_steps']!r}")
     sweep, done = [], {}
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent
@@ -147,11 +145,15 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
                                     aa_swap_prob=prob, pair_metric=p["metric"])
                 traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
                 series = nonmarkov.distinguishability_series(traj_a, traj_b, p["metric"])
-                # bound verification on the exact full-state backend; the joint
-                # snapshots of the oracle pair are freed once the reports exist
-                reports = nonmarkov.all_pair_bound_reports(*run_paired(
-                    replace(cfg, n_steps=p["bound_steps"], backend="full"),
-                    EXCITED, GROUND), p["metric"])
+                # bound verification on the exact full-state backend
+                oracle = replace(cfg, n_steps=p["bound_steps"], backend="full")
+                try:  # cfg is valid: only bound_steps can be rejected here
+                    oracle.validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"bound_steps {p['bound_steps']!r}: {exc}") from None
+                # the joint snapshots of the oracle pair are freed once the reports exist
+                reports = nonmarkov.all_pair_bound_reports(
+                    *run_paired(oracle, EXCITED, GROUND), p["metric"])
                 done[channel] = traj_a, {
                     "blp": nonmarkov.blp_measure(series),
                     "first_revival_step": nonmarkov.first_revival_step(series),
@@ -239,8 +241,10 @@ def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
 
 def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
     cfg = _two_qubit_config(p, seed, log_base)
-    traj = run(cfg)
     w = p["window"]
+    if w < len(cfg.streams):  # the tail must hold a collision with each bath
+        raise ConfigError(f"window must be >= {len(cfg.streams)}, got {w!r}")
+    traj = run(cfg)
     fluxes = thermo.steady_state_fluxes(traj, w)  # validates the window first
     stream, q = traj.config.stream_index()[-w:], traj.ledger["Q"][-w:]
     q_hot = float(np.mean(q[stream == 0]))

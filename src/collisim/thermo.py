@@ -1,6 +1,7 @@
 """Thermodynamic accounting over collision trajectories.
 
-Sign conventions, used everywhere: Q > 0 is heat flowing into the
+The engine computes the per-collision ledger; this module reads its
+columns.  Sign conventions, used everywhere: Q > 0 is heat flowing into the
 colliding unit (dissipated); W > 0 is work injected into system plus
 unit by switching the interaction on and off, so the first law reads
 dE_S = W - Q per collision.  Entropies are in the configured log base;
@@ -20,33 +21,6 @@ from .errors import ConfigError, NotConvergedError
 
 STEADY_WINDOW = 50
 STEADY_DRIFT = 1e-8
-
-
-def heat_to_ancilla(joint_before: np.ndarray, joint_after: np.ndarray,
-                    dims: list[int], h_anc: np.ndarray, anc: int = 1) -> float:
-    """Tr[h_anc (rho'_E - rho_E)]; positive when energy flows into the unit."""
-    e0 = linalg.partial_trace(joint_before, dims, [anc])
-    e1 = linalg.partial_trace(joint_after, dims, [anc])
-    return float(np.trace(h_anc @ (e1 - e0)).real)
-
-
-def switching_work(joint_before: np.ndarray, joint_after: np.ndarray,
-                   dims: list[int], h_s: np.ndarray, h_anc: np.ndarray,
-                   anc: int = 1) -> float:
-    """Net bare-energy change of S+E over a collision.
-
-    Because the total Hamiltonian is constant during the collision and the
-    interaction switches instantaneously at its boundaries, the switching
-    work equals the jump of <H_S + H_E> over the collision.
-    """
-    h = linalg.embed_operator(h_s, dims, [0]) + linalg.embed_operator(h_anc, dims, [anc])
-    return float(np.trace(h @ (joint_after - joint_before)).real)
-
-
-def entropy_production(ds_s: float, ds_anc: float, q_bath: float, beta: float,
-                       base: float = 2.0) -> float:
-    """dS_S + dS_E - beta Q, with Q the heat absorbed from the thermal bath."""
-    return ds_s + ds_anc - beta * q_bath / math.log(base)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from collisim import scenarios
+from collisim import linalg, qstate, scenarios
 
 # property tests draw the same examples on every run, with no time limit per
 # example (timings drift on shared machines) and no example database
@@ -20,6 +20,17 @@ def random_density_matrix(rng, dim):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def mutual_information(rho_ab, dims, split, base=2.0):
+    """Reference S(A) + S(B) - S(AB) across dims[:split] | dims[split:],
+    for one state or a stack: the engine computes its I_SE column from the
+    same three entropies inside its accounting."""
+    n = len(dims)
+    rho_a = linalg.partial_trace(rho_ab, dims, range(split))
+    rho_b = linalg.partial_trace(rho_ab, dims, range(split, n))
+    return (qstate.von_neumann_entropy(rho_a, base) + qstate.von_neumann_entropy(rho_b, base)
+            - qstate.von_neumann_entropy(rho_ab, base))
 
 
 @pytest.fixture(scope="session")

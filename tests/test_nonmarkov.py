@@ -50,8 +50,8 @@ class TestDistinguishabilitySeries:
         cfg = qubit_config(n_steps=10)
         ta, tb = run_paired(cfg, EXCITED, GROUND)
         series = nonmarkov.distinguishability_series(ta, tb)
-        assert series.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(series.values) <= 1e-12)
+        assert series[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(series) <= 1e-12)
         assert nonmarkov.blp_measure(series) == 0.0
 
     def test_metric_choice_is_respected(self):
@@ -59,11 +59,11 @@ class TestDistinguishabilitySeries:
         ta, tb = run_paired(cfg, EXCITED, GROUND)
         tr = nonmarkov.distinguishability_series(ta, tb, "trace")
         js = nonmarkov.distinguishability_series(ta, tb, "jensen-shannon")
-        assert tr.metric == "trace"
-        assert js.metric == "jensen-shannon"
+        assert np.array_equal(tr, qstate.trace_distance(ta.snapshots, tb.snapshots))
+        assert np.array_equal(js, qstate.js_distance(ta.snapshots, tb.snapshots))
         # both start at their maximal value for orthogonal pure states
-        assert tr.values[0] == pytest.approx(1.0, abs=1e-10)
-        assert js.values[0] == pytest.approx(1.0, abs=1e-10)
+        assert tr[0] == pytest.approx(1.0, abs=1e-10)
+        assert js[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("metric", ["trace", "jensen-shannon"])
     def test_aa_collisions_create_revivals(self, metric):
@@ -152,47 +152,72 @@ class TestStackedPairScan:
             pytest.approx(value, abs=1e-12)
 
 
+def oracle_pair(cfg):
+    """The paired full-backend run the bound is evaluated on."""
+    return run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
+
+
+def bound_report(pair, s, t):
+    """The (s, t) member of the exhaustive bound family of a paired run."""
+    return next(r for r in nonmarkov.all_pair_bound_reports(*pair) if (r.s, r.t) == (s, t))
+
+
 class TestBoundReports:
     def test_markovian_revivals_never_positive(self):
         cfg = qubit_config(n_steps=6)
-        rep = nonmarkov.revival_bound_report(cfg, EXCITED, GROUND, 2, 5)
+        rep = bound_report(oracle_pair(cfg), 2, 5)
         assert rep.lhs <= 1e-12
         assert rep.slack >= -1e-9
 
     def test_coincident_endpoints(self):
         cfg = qubit_config(n_steps=5, aa_mode="coherent", aa_swap_prob=0.7)
-        rep = nonmarkov.revival_bound_report(cfg, EXCITED, GROUND, 3, 3)
+        rep = bound_report(oracle_pair(cfg), 3, 3)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.slack >= -1e-9
 
     def test_revival_is_bounded(self):
         cfg = qubit_config(n_steps=8, aa_mode="coherent", aa_swap_prob=1.0)
-        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
-        series = nonmarkov.distinguishability_series(ta, tb)
-        s = nonmarkov.first_revival_step(series)
+        pair = oracle_pair(cfg)
+        s = nonmarkov.first_revival_step(nonmarkov.distinguishability_series(*pair))
         assert s is not None
-        rep = nonmarkov.bound_report_from_pair(ta, tb, s, s + 1)
+        rep = bound_report(pair, s, s + 1)
         assert rep.lhs > 1e-6
         assert rep.slack >= -1e-9
 
     def test_exhaustive_family_holds(self):
         cfg = qubit_config(n_steps=6, aa_mode="coherent", aa_swap_prob=0.8)
-        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
-        reports = nonmarkov.all_pair_bound_reports(ta, tb)
+        reports = nonmarkov.all_pair_bound_reports(*oracle_pair(cfg))
         assert len(reports) == 7 * 8 // 2
         assert min(r.slack for r in reports) >= -1e-9
 
     def test_time_ordering_required(self):
+        # every pair of collision indices with t >= s, once each, and no other
         cfg = qubit_config(n_steps=4, aa_mode="coherent", aa_swap_prob=1.0)
-        ta, tb = run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
-        with pytest.raises(ConfigError):
-            nonmarkov.bound_report_from_pair(ta, tb, 3, 1)
+        reports = nonmarkov.all_pair_bound_reports(*oracle_pair(cfg))
+        assert [(r.s, r.t) for r in reports] == \
+            [(s, t) for s in range(5) for t in range(s, 5)]
+
+    def test_report_reads_the_series_and_the_terms(self):
+        cfg = qubit_config(n_steps=5, aa_mode="incoherent", aa_swap_prob=0.6, rng_seed=2)
+        ta, tb = oracle_pair(cfg)
+        dist = nonmarkov.distinguishability_series(ta, tb)
+        terms = nonmarkov.bound_terms(ta, tb)
+        assert terms.shape == (6, 3)
+        assert np.array_equal(terms[0], np.zeros(3))
+        for r in nonmarkov.all_pair_bound_reports(ta, tb):
+            assert r.lhs == dist[r.t] - dist[r.s]
+            assert [r.rhs_env, r.rhs_corr_rho, r.rhs_corr_sigma] == terms[r.s].tolist()
 
     def test_windowed_backend_rejected(self):
         cfg = qubit_config(n_steps=4)
         ta, tb = run_paired(cfg, EXCITED, GROUND)
-        with pytest.raises(ConfigError):
-            nonmarkov.bound_report_from_pair(ta, tb, 1, 2)
+        with pytest.raises(ConfigError, match="full-backend"):
+            nonmarkov.all_pair_bound_reports(ta, tb)
+        # one windowed member is enough to reject the pair
+        fa, fb = oracle_pair(cfg)
+        for pair in ((ta, fb), (fa, tb)):
+            with pytest.raises(ConfigError, match="full-backend"):
+                nonmarkov.bound_terms(*pair)
 
 
 class TestPrecursorSeries:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from collisim import linalg, qstate
-from collisim.engine import (AncillaStream, CollisionConfig, partial_swap_unitary,
-                             system_channel)
+from collisim.engine import (AncillaStream, CollisionConfig, partial_swap_interaction,
+                             partial_swap_unitary, run, system_channel)
 from collisim.errors import ConfigError
-from conftest import random_density_matrix, random_hermitian
+from conftest import mutual_information, random_density_matrix, random_hermitian
 
 SZ, I2 = linalg.SIGMA_Z, linalg.EYE2
 
@@ -177,11 +177,11 @@ class TestMutualInformation:
     def test_product_state(self):
         rng = np.random.default_rng(9)
         joint = linalg.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-        assert qstate.mutual_information(joint, [2, 2], 1) == pytest.approx(0.0, abs=1e-10)
+        assert mutual_information(joint, [2, 2], 1) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_state(self):
         bell = qstate.pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2))
-        assert qstate.mutual_information(bell, [2, 2], 1, base=2) == pytest.approx(2.0, abs=1e-10)
+        assert mutual_information(bell, [2, 2], 1, base=2) == pytest.approx(2.0, abs=1e-10)
 
     def test_partial_swap_oracle(self):
         # independent route: conjugate explicitly and evaluate all three entropies
@@ -193,24 +193,31 @@ class TestMutualInformation:
         s_ab = qstate.von_neumann_entropy(joint)
         expected = s_a + s_b - s_ab
         assert expected > 0.1  # the collision genuinely correlates
-        assert qstate.mutual_information(joint, [2, 2], 1) == pytest.approx(expected, abs=1e-12)
+        assert mutual_information(joint, [2, 2], 1) == pytest.approx(expected, abs=1e-12)
+        # the engine's I_SE column for the same collision: exp(i pi/4 SWAP)
+        # with no bare Hamiltonians
+        zero = np.zeros((2, 2))
+        stream = AncillaStream(2, zero, qstate.thermal_state(SZ, 1.0))
+        cfg = CollisionConfig(2, zero, qstate.pure_state([1, 0]), [stream],
+                              [partial_swap_interaction(2)], coupling=math.pi / 4)
+        assert run(cfg).ledger["I_SE"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(10)
         u = partial_swap_unitary(2, 0.6)
         joint = u @ linalg.kron(random_density_matrix(rng, 2),
                                 random_density_matrix(rng, 2)) @ u.conj().T
-        i0 = qstate.mutual_information(joint, [2, 2], 1)
+        i0 = mutual_information(joint, [2, 2], 1)
         local = linalg.kron(linalg.unitary_from_hamiltonian(random_hermitian(rng, 2), 1.0),
                             linalg.unitary_from_hamiltonian(random_hermitian(rng, 2), 1.0))
-        i1 = qstate.mutual_information(local @ joint @ local.conj().T, [2, 2], 1)
+        i1 = mutual_information(local @ joint @ local.conj().T, [2, 2], 1)
         assert i1 == pytest.approx(i0, abs=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             joint = random_density_matrix(rng, 4)
-            assert qstate.mutual_information(joint, [2, 2], 1) >= -1e-9
+            assert mutual_information(joint, [2, 2], 1) >= -1e-9
 
 
 class TestStacks:
@@ -233,7 +240,7 @@ class TestStacks:
         lambda r, s: qstate.relative_entropy(s, r),
         lambda r, s: qstate.js_distance(r, s),
         lambda r, s: qstate.state_distance(r, s, "jensen-shannon", math.e),
-        lambda r, s: qstate.mutual_information(r, [2, 2], 1),
+        lambda r, s: mutual_information(r, [2, 2], 1),
     ])
     def test_stack_matches_members(self, fn):
         rho, sigma = self.make_pairs()

@@ -247,6 +247,10 @@ class TestCli:
         ("continuous_limit", {"total_time": 0.01}, "total_time"),
         ("continuous_limit", {"total_time": 0.01}, "tau_grid"),
         ("nonmarkov_sweep", {"bound_steps": 0}, "bound_steps"),
+        # the oracle's joint dimension cap is reported under the key that sets it
+        ("nonmarkov_sweep", {"bound_steps": 11}, "bound_steps"),
+        # a one-collision tail never holds a collision with both baths
+        ("two_qubit_local_global", {"window": 1, "n_steps": 40}, "window"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):

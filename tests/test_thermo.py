@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collisim import linalg, qstate, thermo
 from collisim.engine import (LEDGER_FIELDS, AncillaStream, CollisionConfig, Trajectory,
                              collision_unitary, partial_swap_interaction, run,
-                             swap_unitary)
+                             run_stack, swap_unitary, system_channel)
 from collisim.errors import ConfigError, NotConvergedError
 from conftest import random_density_matrix, random_hermitian
+from test_engine import small_runs
 
 SX, SY, SZ, I2 = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
 EXCITED = qstate.pure_state([1, 0])
@@ -39,10 +42,11 @@ def collide_once(cfg):
 
 
 class TestHeatToAncilla:
+    """The engine's Q column: heat into the colliding unit."""
+
     def test_no_coupling(self):
         cfg = make_config(partial_swap_interaction(2), theta=0.0)
-        before, after = collide_once(cfg)
-        q = thermo.heat_to_ancilla(before, after, [2, 2], cfg.streams[0].hamiltonian)
+        q = run(cfg).ledger["Q"][0]
         assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_full_swap_excited_into_ground(self):
@@ -51,8 +55,7 @@ class TestHeatToAncilla:
         cfg = make_config(partial_swap_interaction(2), h_s=omega * SZ / 2,
                           h_e=omega * SZ / 2, anc=GROUND, beta=None,
                           theta=math.pi / 2)
-        before, after = collide_once(cfg)
-        q = thermo.heat_to_ancilla(before, after, [2, 2], omega * SZ / 2)
+        q = run(cfg).ledger["Q"][0]
         assert q == pytest.approx(omega, abs=1e-10)
 
     def test_energy_preserving_interaction_balances_system(self):
@@ -61,7 +64,7 @@ class TestHeatToAncilla:
         cfg = make_config(EXCHANGE_V, init=random_density_matrix(rng, 2),
                           anc=random_density_matrix(rng, 2), beta=None, theta=0.7)
         before, after = collide_once(cfg)
-        q = thermo.heat_to_ancilla(before, after, [2, 2], SZ / 2)
+        q = run(cfg).ledger["Q"][0]
         de_s = float(np.trace(linalg.kron(SZ / 2, I2) @ (after - before)).real)
         assert q == pytest.approx(-de_s, abs=1e-10)
         assert abs(q) > 1e-3  # the exchange genuinely moves energy
@@ -78,14 +81,13 @@ class TestSwitchingWork:
         rng = np.random.default_rng(1)
         cfg = make_config(BATTERY_V, init=random_density_matrix(rng, 2), theta=0.8)
         before, after = collide_once(cfg)
-        w = thermo.switching_work(before, after, [2, 2], SZ / 2, SZ / 2)
         h = linalg.kron(SZ / 2, I2) + linalg.kron(I2, SZ / 2)
         expected = float(np.trace(h @ after).real - np.trace(h @ before).real)
-        assert w == pytest.approx(expected, abs=1e-12)
-        assert abs(w) > 1e-3
+        assert abs(expected) > 1e-3
 
         traj = run(cfg)
-        assert traj.records[0].W == pytest.approx(w, abs=1e-10)
+        assert traj.ledger["W"][0] == pytest.approx(expected, abs=1e-12)
+        assert traj.records[0].W == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("label,v", [
         ("swap", partial_swap_interaction(2)),
@@ -112,12 +114,27 @@ class TestSwitchingWork:
 
 
 class TestEntropyProduction:
-    def test_direct_formula(self):
-        assert thermo.entropy_production(0.3, 0.2, 0.1, 2.0, base=math.e) == \
-            pytest.approx(0.3 + 0.2 - 0.2)
-        # base-2 entropies divide the beta Q term by ln 2
-        assert thermo.entropy_production(0.0, 0.0, 1.0, 1.0, base=2.0) == \
-            pytest.approx(-1.0 / math.log(2))
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    def test_direct_formula(self, base):
+        # a non-thermal unit: Sigma = dS_S + dS_anc
+        rng = np.random.default_rng(6)
+        cfg = make_config(EXCHANGE_V, anc=random_density_matrix(rng, 2), beta=None,
+                          theta=0.9, n_steps=4, log_base=base)
+        for r in run(cfg).records:
+            assert r.Sigma == pytest.approx(r.dS_S + r.dS_anc, abs=1e-12)
+        # a thermal unit: Sigma = dS_S + beta Q, the beta Q term converted
+        # to the configured base (divided by ln 2 for bits)
+        beta = 2.0
+        cfg = make_config(linalg.kron(SX, SX), beta=beta, theta=0.9, n_steps=4,
+                          log_base=base)
+        for r in run(cfg).records:
+            assert abs(r.Q) > 1e-3
+            assert r.Sigma == pytest.approx(r.dS_S + beta * r.Q / math.log(base),
+                                            abs=1e-12)
+        # entropies and beta Q change base together
+        bits = run(replace(cfg, log_base=2.0)).ledger["Sigma"]
+        nats = run(replace(cfg, log_base=math.e)).ledger["Sigma"]
+        np.testing.assert_allclose(bits, nats / math.log(2), rtol=0, atol=1e-12)
 
     def test_no_coupling_produces_nothing(self):
         cfg = make_config(partial_swap_interaction(2), theta=0.0, n_steps=3)
@@ -169,6 +186,38 @@ class TestFirstLaw:
         e0 = float(np.trace(h_tot @ before).real)
         e1 = float(np.trace(h_tot @ after).real)
         assert e1 == pytest.approx(e0, abs=1e-10)
+
+
+class TestLedgerProperties:
+    """The ledger identities on random small configurations (see
+    ``test_engine.small_runs``), on both backends."""
+
+    @given(small_runs(), st.sampled_from(["windowed", "full"]))
+    def test_identities(self, run_args, backend):
+        cfg, inits = run_args
+        stack = run_stack(replace(cfg, backend=backend), inits)
+        led = stack.ledger
+        # the first law per collision, dE_S = W - Q, with E_S from the ledger
+        # and from the stored system states
+        e_s = np.trace(cfg.system_hamiltonian @ stack.snapshots, axis1=-2, axis2=-1).real
+        for de_s in (led["E_S_post"] - led["E_S_pre"], np.diff(e_s, axis=0)):
+            np.testing.assert_allclose(de_s, led["W"] - led["Q"], rtol=0, atol=1e-10)
+        if cfg.aa_mode == "off":  # each unit arrives uncorrelated
+            assert np.all(led["Sigma"] - led["I_SE"] >= -1e-9)
+            assert np.all(led["I_SE"] >= -1e-9)
+
+    @given(small_runs())
+    def test_system_channel_is_cptp(self, run_args):
+        cfg, _ = run_args
+        d = cfg.system_dim
+        units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = |i><j|
+        for stream in range(len(cfg.streams)):
+            channel = system_channel(cfg, stream)
+            choi = sum(linalg.kron(units[i, j], channel(units[i, j]))
+                       for i in range(d) for j in range(d))
+            assert np.linalg.eigvalsh(linalg.hermitize(choi))[0] >= -1e-10
+            np.testing.assert_allclose(linalg.partial_trace(choi, [d, d], [0]), np.eye(d),
+                                       rtol=0, atol=1e-12)
 
 
 def record_built_ledger(traj):
