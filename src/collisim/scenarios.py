@@ -28,6 +28,17 @@ from .errors import ConfigError
 
 CSV_SCHEMA_VERSION = 1
 CSV_HEADER = "step,E_S,Q_resource,Q_bath,W,S_S,S_anc,I_SE,Sigma,D_pair"
+WRITE_CHUNK = 256  # rows formatted and written at once: bounds memory
+
+# One row of each file as a % template.  A JSON record is a dict as
+# json.dump(indent=1) lays it out inside the top-level "records" list, with
+# floats as float.__repr__; json's NaN and Infinity are put in after
+# formatting: each value follows ": ", which occurs nowhere else in a record.
+_CSV_ROW = "%d" + ",%.17g" * CSV_HEADER.count(",") + "\n"
+_JSON_RECORD = "  {\n" + ",\n".join(
+    f"   {json.dumps(name)}: %{'d' if name == 'step' else 'r'}"
+    for name in CSV_HEADER.split(",")) + "\n  }"
+_JSON_NON_FINITE = [(": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity")]
 
 EXCITED = qstate.pure_state(np.array([1.0, 0.0]))  # +1 eigenstate of sigma_z
 GROUND = qstate.pure_state(np.array([0.0, 1.0]))
@@ -82,17 +93,23 @@ def _finite(p: dict, key: str) -> float:
     return p[key]
 
 
-def _thermal_stream(h: np.ndarray, beta: float, role: str = "resource") -> AncillaStream:
-    """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``."""
+def _thermal_stream(h: np.ndarray, beta: float, key: str,
+                    role: str = "resource") -> AncillaStream:
+    """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``,
+    the value of parameter ``key``."""
+    if not 0 <= beta < math.inf:
+        raise ConfigError(f"parameter {key!r} must be finite and >= 0, got {beta!r}")
     return AncillaStream(len(h), h, qstate.thermal_state(h, beta), role=role, beta=beta)
 
 
 def _pswap_config(p: dict, seed: int, log_base: float, **extra) -> CollisionConfig:
     """Qubit system + thermal qubit stream coupled by a partial SWAP."""
     h = _finite(p, "omega") * linalg.SIGMA_Z / 2
+    if not p["tau"] > 0:  # before theta / tau, which raises at tau = 0
+        raise ConfigError(f"parameter 'tau' must be > 0, got {p['tau']!r}")
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[_thermal_stream(h, p["beta"])],
+        streams=[_thermal_stream(h, p["beta"], "beta")],
         interactions=[partial_swap_interaction(2)],
         tau=p["tau"], coupling=p["theta"] / p["tau"], n_steps=p["n_steps"],
         rng_seed=seed, log_base=log_base, **extra)
@@ -191,7 +208,7 @@ def battery_interaction(kind: str) -> np.ndarray:
 
 def scenario_battery(p: dict, seed: int, log_base: float):
     h = _finite(p, "omega") * linalg.SIGMA_Z  # gap 2*omega on both sides keeps V resonant
-    stream = _thermal_stream(h, p["beta"])
+    stream = _thermal_stream(h, p["beta"], "beta")
     cfg = CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=GROUND,
         streams=[stream], interactions=[battery_interaction(p["interaction"])],
@@ -227,8 +244,8 @@ def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
     h_int = _finite(p, "J") * (linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
         + _finite(p, "Jz") * linalg.kron(sz, sz)
     h_e = p["omega"] * sz / 2
-    streams = [_thermal_stream(h_e, p["beta_hot"], "bath"),
-               _thermal_stream(h_e, p["beta_cold"], "bath")]
+    streams = [_thermal_stream(h_e, p["beta_hot"], "beta_hot", "bath"),
+               _thermal_stream(h_e, p["beta_cold"], "beta_cold", "bath")]
     # energy-preserving local exchange with each qubit's own reservoir
     v1 = linalg.kron(sx, eye, sx) + linalg.kron(sy, eye, sy)
     v2 = linalg.kron(eye, sx, sx) + linalg.kron(eye, sy, sy)
@@ -274,24 +291,27 @@ LANDAUER_DEFAULTS = {
 }
 
 
-def _landauer_config(p: dict, beta: float, seed: int,
-                     log_base: float) -> CollisionConfig:
+def _landauer_config(p: dict, beta: float, seed: int, log_base: float,
+                     key: str = "beta") -> CollisionConfig:
+    """The erasure run at inverse temperature ``beta``, the value of ``key``."""
     h = _finite(p, "omega") * linalg.SIGMA_Z / 2
     v = linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X)  # not energy preserving
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[_thermal_stream(h, beta)], interactions=[v], tau=p["tau"],
+        streams=[_thermal_stream(h, beta, key)], interactions=[v], tau=p["tau"],
         coupling=p["g"], n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
 
 
 def scenario_landauer(p: dict, seed: int, log_base: float):
     cfg = _landauer_config(p, p["beta"], seed, log_base)
+    # every grid entry is checked before the first run
+    grid_cfgs = [_landauer_config(p, beta, seed, log_base, f"beta_grid[{i}]")
+                 for i, beta in enumerate(p["beta_grid"])]
     traj = run(cfg)
     report = thermo.landauer_report(traj, p["window"])
     grid = []
-    for beta in p["beta_grid"]:
-        gtraj = run(_landauer_config(p, beta, seed, log_base))
-        grep = thermo.landauer_report(gtraj, p["window"])
+    for beta, gcfg in zip(p["beta_grid"], grid_cfgs):
+        grep = thermo.landauer_report(run(gcfg), p["window"])
         grid.append({"beta": beta, "beta_Q": grep.beta_Q, "dS_anc": grep.dS_anc,
                      "landauer_gap": grep.landauer_gap})
     return {
@@ -323,6 +343,9 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
     rep_traj = None
     for tau in p["tau_grid"]:
         theta = math.sqrt(p["gamma"] * tau)
+        if p["total_time"] / tau == math.inf:
+            raise ConfigError(f"total_time {p['total_time']!r} over the tau_grid step "
+                              f"{tau!r} is an overflowing collision count")
         n = int(round(p["total_time"] / tau))
         if n < 1:
             raise ConfigError(f"total_time {p['total_time']!r} rounds to zero "
@@ -409,24 +432,36 @@ def trajectory_rows(traj: Trajectory) -> list[tuple]:
     return list(zip(*(getattr(ledger, name).tolist() for name in CSV_HEADER.split(","))))
 
 
+def _formatted_chunks(rows: list[tuple], template: str, sep: str):
+    """``sep.join(template % row for row in rows)`` in pieces of ``WRITE_CHUNK`` rows."""
+    for start in range(0, len(rows), WRITE_CHUNK):
+        yield sep.join([template % row for row in rows[start:start + WRITE_CHUNK]])
+
+
 def write_trajectory_csv(traj: Trajectory, path, rows: list[tuple] | None = None):
     """The trajectory as CSV; ``rows`` are its ``trajectory_rows`` if already built."""
     with open(path, "w") as fh:
-        fh.write(f"# schema_version {CSV_SCHEMA_VERSION}\n")
-        fh.write(CSV_HEADER + "\n")
-        for row in trajectory_rows(traj) if rows is None else rows:
-            cells = [str(row[0])] + [f"{x:.17g}" for x in row[1:]]
-            fh.write(",".join(cells) + "\n")
+        fh.write(f"# schema_version {CSV_SCHEMA_VERSION}\n{CSV_HEADER}\n")
+        fh.writelines(_formatted_chunks(
+            trajectory_rows(traj) if rows is None else rows, _CSV_ROW, ""))
 
 
 def write_trajectory_json(traj: Trajectory, summary: dict, path,
                           rows: list[tuple] | None = None):
-    """The summary and the trajectory as JSON; ``rows`` as in the CSV writer."""
-    names = CSV_HEADER.split(",")
-    records = [dict(zip(names, row))
-               for row in (trajectory_rows(traj) if rows is None else rows)]
-    doc = {"schema_version": CSV_SCHEMA_VERSION, "summary": summary,
-           "records": records}
+    """The summary and the trajectory as JSON; ``rows`` as in the CSV writer.
+
+    The bytes are those of ``json.dump(doc, fh, indent=1)`` plus a newline.
+    """
+    rows = trajectory_rows(traj) if rows is None else rows
+    head = json.dumps({"schema_version": CSV_SCHEMA_VERSION, "summary": summary},
+                      indent=1)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("\n}")] + ',\n "records": [')
+        if not rows:
+            fh.write("]\n}\n")
+            return
+        for i, text in enumerate(_formatted_chunks(rows, _JSON_RECORD, ",\n")):
+            for old, new in _JSON_NON_FINITE:
+                text = text.replace(old, new)
+            fh.write((",\n" if i else "\n") + text)
+        fh.write("\n ]\n}\n")

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collisim import cli, scenarios
 from collisim.engine import run_paired
@@ -61,7 +67,75 @@ class TestRunner:
         assert result.trajectory.config.rng_seed == 3
 
 
+def reference_csv(rows, path):
+    """The CSV writer formatting one cell at a time: the oracle for its bytes."""
+    with open(path, "w") as fh:
+        fh.write(f"# schema_version {scenarios.CSV_SCHEMA_VERSION}\n")
+        fh.write(scenarios.CSV_HEADER + "\n")
+        for row in rows:
+            cells = [str(row[0])] + [f"{x:.17g}" for x in row[1:]]
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_json(summary, rows, path):
+    """The JSON writer as one ``json.dump``: the oracle for its bytes."""
+    names = scenarios.CSV_HEADER.split(",")
+    doc = {"schema_version": scenarios.CSV_SCHEMA_VERSION, "summary": summary,
+           "records": [dict(zip(names, row)) for row in rows]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def assert_writers_match_reference(tmp_path, traj, summary, rows=None):
+    """Both public writers give the reference bytes, given ``rows`` or not."""
+    expected = scenarios.trajectory_rows(traj) if rows is None else rows
+    reference_csv(expected, tmp_path / "ref.csv")
+    reference_json(summary, expected, tmp_path / "ref.json")
+    scenarios.write_trajectory_csv(traj, tmp_path / "out.csv", rows)
+    scenarios.write_trajectory_json(traj, summary, tmp_path / "out.json", rows)
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"out{suffix}").read_bytes() \
+            == (tmp_path / f"ref{suffix}").read_bytes(), suffix
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-17, 3.0]
+CHUNK = scenarios.WRITE_CHUNK
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_scenario_files_match_reference(self, tmp_path, name):
+        result = scenarios.run_scenario(name, SMALL[name])
+        d_pair = result.trajectory.ledger.get("D_pair")
+        # only the paired sweep fills D_pair; the other files carry a NaN column
+        assert (d_pair is not None and np.all(np.isfinite(d_pair))) \
+            == (name == "nonmarkov_sweep")
+        assert_writers_match_reference(tmp_path, result.trajectory, result.summary)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_special_values_and_chunk_seams(self, tmp_path, n_rows):
+        # every row holds non-finite, signed-zero, subnormal and huge cells,
+        # each in a column that moves from row to row
+        width = len(scenarios.CSV_HEADER.split(",")) - 1
+        rows = [(i, *(SPECIAL[(i + j) % len(SPECIAL)] for j in range(width)))
+                for i in range(n_rows)]
+        result = scenarios.run_scenario("thermalization", SMALL["thermalization"])
+        summary = {**result.summary, "extremes": SPECIAL}
+        assert_writers_match_reference(tmp_path, result.trajectory, summary, rows)
+
+
 class TestTrajectoryOutput:
+    def test_json_reruns_are_byte_identical(self, tmp_path):
+        # criterion 11 asks this of the CSV; the JSON file is held to the same
+        files = []
+        for i in range(2):
+            result = scenarios.run_scenario("thermalization", FAST, seed=1)
+            path = tmp_path / f"run{i}.json"
+            scenarios.write_trajectory_json(result.trajectory, result.summary, path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
     def test_csv_reruns_are_byte_identical(self, tmp_path):
         paths = []
         for i in range(2):
@@ -251,6 +325,20 @@ class TestCli:
         ("nonmarkov_sweep", {"bound_steps": 11}, "bound_steps"),
         # a one-collision tail never holds a collision with both baths
         ("two_qubit_local_global", {"window": 1, "n_steps": 40}, "window"),
+        # an inverse temperature out of range is reported under its own key
+        ("thermalization", {"beta": -1.0, "n_steps": 10}, "'beta'"),
+        ("nonmarkov_sweep", {"beta": math.inf, "n_steps": 4}, "'beta'"),
+        ("battery", {"beta": math.nan, "n_steps": 10}, "'beta'"),
+        ("two_qubit_local_global", {"beta_hot": -1.0}, "'beta_hot'"),
+        ("two_qubit_local_global", {"beta_cold": math.inf}, "'beta_cold'"),
+        ("landauer", {"beta_grid": [-1.0]}, "beta_grid[0]"),
+        ("landauer", {"beta": -0.5}, "'beta'"),
+        # found by the config fuzzer: theta / tau raised ZeroDivisionError
+        ("thermalization", {"beta": 0.6335159497065812, "n_steps": 1, "tau": 0.0}, "tau"),
+        ("nonmarkov_sweep", {"tau": 0.0, "n_steps": 4, "bound_steps": 4}, "tau"),
+        # int(round(total_time / tau)) raised OverflowError
+        ("continuous_limit", {"total_time": 1.8530729387025624,
+                              "tau_grid": [0.324765987681986, 0.75, 5e-324]}, "tau_grid"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -301,6 +389,83 @@ class TestCli:
                         "--out", str(tmp_path), "--seed", "4"])
         assert code == cli.EXIT_OK
         assert (tmp_path / "thermalization_4.csv").exists()
+
+
+# Config documents for the fuzzer: a valid document with at most one fault.
+# Keys that set a step count are always present and small, so no run takes
+# more than a few MB: n_steps <= 40, bound_steps <= 6, and total_time /
+# min(tau_grid) <= 2 / 0.01 (no wrong value below is a small positive tau).
+NASTY = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]),
+    st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["", "0"]), st.integers(-1, 1), min_size=1))
+
+
+def _grid(entries):
+    return st.lists(entries, min_size=1, max_size=3)
+
+
+VALID = {
+    "n_steps": st.integers(1, 40),
+    "bound_steps": st.integers(1, 6),
+    "total_time": st.floats(0.0, 2.0),
+    "tau_grid": _grid(st.floats(0.01, 1.0)),
+    "window": st.integers(1, 20),
+    "p_grid": _grid(st.floats(0.0, 1.0)),
+    "beta_grid": _grid(st.floats(0.0, 3.0)),
+    "modes": _grid(st.sampled_from(["coherent", "incoherent"])),
+    "metric": st.sampled_from(["trace", "js"]),
+    "interaction": st.sampled_from(["battery", "exchange"]),
+}
+ALWAYS_SET = ("n_steps", "bound_steps", "total_time", "tau_grid", "window")
+
+
+@st.composite
+def cli_configs(draw):
+    """A scenario name and the text of a config document for it."""
+    name = draw(st.sampled_from(sorted(scenarios.SCENARIOS)))
+    defaults = scenarios.DEFAULTS[name]
+    values = {key: VALID.get(key, st.floats(0.0, 3.0)) for key in defaults}
+    overrides = draw(st.fixed_dictionaries(
+        {k: v for k, v in values.items() if k in ALWAYS_SET},
+        optional={k: v for k, v in values.items() if k not in ALWAYS_SET}))
+    doc = draw(st.fixed_dictionaries({"overrides": st.just(overrides)}, optional={
+        "seed": st.integers(0, 2**64), "emit": st.sampled_from(["csv", "json", "both"]),
+        "log_base": st.sampled_from(["2", 2, "e"])}))
+    fault = draw(st.none() | st.sampled_from([
+        "scenario", "text", "document", "overrides", "top-level", "unknown override",
+        *defaults]))
+    wrong = draw(NASTY)
+    if fault == "scenario":
+        name = "warp_drive"
+    elif fault == "document":
+        doc = wrong
+    elif fault == "overrides":
+        doc["overrides"] = wrong
+    elif fault == "top-level":
+        doc[draw(st.sampled_from(["seed", "emit", "log_base", "extra"]))] = wrong
+    elif fault == "unknown override":
+        overrides["bogus"] = wrong
+    elif fault in defaults:  # a wrong value, or a wrong entry in a grid
+        grid = isinstance(defaults[fault], tuple) and draw(st.booleans())
+        overrides[fault] = [*overrides.get(fault, defaults[fault])[:2], wrong] \
+            if grid else wrong
+    return name, "{" if fault == "text" else json.dumps(doc)
+
+
+class TestCliFuzz:
+    @given(cli_configs())
+    def test_only_documented_exit_codes(self, name_and_text):
+        name, text = name_and_text
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "cfg.json"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([name, "--config", str(path), "--out", out])
+        assert code in {cli.EXIT_OK, cli.EXIT_UNKNOWN_SCENARIO, cli.EXIT_CONFIG,
+                        cli.EXIT_INTEGRITY, cli.EXIT_NOT_CONVERGED}
 
 
 class TestScenarioDeterminism:
