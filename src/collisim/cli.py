@@ -33,7 +33,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON, UTF-8 or int digit-limit errors
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

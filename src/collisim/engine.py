@@ -15,20 +15,23 @@ maps: one per stream, and with unit-unit collisions one without and one
 with that collision.  Within a step: append the fresh unit, collide it
 with the carried unit, then with the system, then erase.  Every collision
 is a local gate, contracted into the state's factors (``linalg.conjugate``
-with targets) and never lifted to the whole space.  The ``windowed``
-backend iterates the maps as superoperators: one transfer matrix per map,
-built at the start of the run, and one matrix product per step on the
-vectorized stack; erasure of a carried unit's correlations, which is not
-linear, follows as an explicit step.  The ``full`` backend keeps every
-unit in one joint state, stores it after every step as the exact
-small-instance oracle, and stores its carried part too.
+with targets) and never lifted to the whole space.  At the start of a run
+each map is pushed once through that step, as superoperators on the
+vectorized carried state: one to the state after the system-unit
+collision, one to the fresh unit before it.  The ``windowed`` backend
+iterates their partial traces onto the carried factors, one matrix
+product per step on the vectorized stack; erasure of a carried unit's
+correlations, which is not linear, follows as an explicit step.  The
+``full`` backend keeps every unit in one joint state, stores it after
+every step as the exact small-instance oracle, and stores its carried
+part too.
 
-Accounting then rebuilds each step's states as linear images of its
-carried state, in blocks of about ``LEDGER_BLOCK`` states (steps times
-stack members), and computes the ledger of a block in one batched pass:
-one column per name in ``LEDGER_FIELDS`` (plus ``D_pair`` for paired
-runs).  One function serves both backends.  ``Trajectory.records`` is a
-read-only view that builds ``CollisionRecord`` rows from the columns.
+Accounting then rebuilds each step's states from its carried state with
+one product by its map, in blocks of about ``LEDGER_BLOCK`` states (steps
+times stack members), and computes the ledger of a block in one batched
+pass: one column per name in ``LEDGER_FIELDS`` (plus ``D_pair`` for
+paired runs).  One function serves both backends.  ``Trajectory.records``
+is a read-only view that builds ``CollisionRecord`` rows from the columns.
 
 Integrity: after every step the windowed backend hermitizes and
 renormalizes its carried state, and the full backend checks its joint
@@ -99,6 +102,11 @@ class AncillaStream:
             th = qstate.thermal_state(self.hamiltonian, self.beta)
             if np.max(np.abs(th - self.init_state)) > 1e-10:
                 raise ConfigError("stream beta does not match init_state")
+            # beta Q enters the ledger, and |Q| is at most the energy spread
+            spread = float(np.ptp(np.linalg.eigvalsh(self.hamiltonian)))
+            if not math.isfinite(float(self.beta) * spread):
+                raise ConfigError(f"stream beta {self.beta:.3g} times its energy spread "
+                                  f"{spread:.3g} overflows")
 
 
 @dataclass
@@ -169,14 +177,20 @@ class CollisionConfig:
             raise ConfigError("ancilla-ancilla collisions need a single stream")
         if self.backend not in ("windowed", "full"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        # a member's carried states, (n_steps + 1, d_c, d_c), must fit in one
+        # numpy array, which holds at most np.intp's maximum of bytes
+        state_bytes = math.prod(_carried_dims(self)) ** 2 * np.dtype(complex).itemsize
+        if (int(self.n_steps) + 1) * state_bytes > np.iinfo(np.intp).max:
+            raise ConfigError("n_steps is too large: the states of one member would "
+                              "exceed the largest numpy array")
         if self.backend == "full":
             dim = self.system_dim
             for k in range(self.n_steps):
                 dim *= self.streams[k % len(self.streams)].dim
-            if dim > 2 ** self.full_factor_cap:
-                raise ConfigError(
-                    f"full backend joint dimension {dim} exceeds cap "
-                    f"{2 ** self.full_factor_cap}")
+                if dim > 2 ** self.full_factor_cap:
+                    raise ConfigError(
+                        f"full backend joint dimension {dim} exceeds cap "
+                        f"{2 ** self.full_factor_cap}")
 
     def stream_index(self) -> np.ndarray:
         """The index of the stream each collision draws its unit from."""
@@ -332,7 +346,7 @@ def system_channel(cfg: CollisionConfig, stream: int = 0):
 
 
 def _expect(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.trace(h @ rho, axis1=-2, axis2=-1).real
+    return np.einsum('ij,...ji->...', h, rho).real
 
 
 def _first(bad: np.ndarray, steps) -> tuple[int, int, int]:
@@ -414,24 +428,47 @@ def _kept(cfg: CollisionConfig, dims: list[int]) -> list[int]:
     return [0] if cfg.aa_mode == "off" else [0, len(dims) - 1]
 
 
-def _iterate(cfg: CollisionConfig, unitaries, keys: np.ndarray, carried: np.ndarray):
-    """The windowed backend: fill ``carried[1:]`` from ``carried[0]``.
+def _maps(cfg: CollisionConfig, unitaries, keys: np.ndarray) -> list[tuple]:
+    """Per key, the linear maps of a step on the row-major vectorized carried
+    state, with the factors after the step: ``(after, pre_e, dims)``.
 
-    Each step multiplies the row-major vectorized carried states by the
-    transfer map of its key, built once per run by pushing the matrix
-    units through ``_collide``; erasure, when a unit is carried, is the one
-    nonlinear step.
+    ``after`` (d_c², D, D) gives the state after the system-unit collision,
+    before erasure; ``pre_e`` (d_c², d_E, d_E) the fresh unit before that
+    collision.  Built once per run by pushing the d_c² matrix units through
+    ``_collide``; propagation and accounting share them.
     """
-    dims, dc = _carried_dims(cfg), carried.shape[-1]
+    dims = _carried_dims(cfg)
+    dc = math.prod(dims)
     units = np.eye(dc * dc, dtype=complex).reshape(-1, dc, dc)
     maps = []
     for key in range(int(keys.max()) + 1):
-        _, after, out = _collide(cfg, unitaries, units, dims, key)
-        maps.append(linalg.partial_trace(after, out, _kept(cfg, out)).reshape(dc * dc, -1))
+        before, after, out = _collide(cfg, unitaries, units, dims, key)
+        maps.append((after, linalg.partial_trace(before, out, [len(out) - 1]), out))
+    return maps
+
+
+def _apply(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The images of ``states`` (..., d_c, d_c) under a map ``m`` (d_c², d, d).
+
+    One vector-matrix product per state, so a state's image does not
+    depend on the stack it is in.
+    """
+    n, lead = m.shape[0], states.shape[:-2]
+    return (states.reshape(lead + (1, n)) @ m.reshape(n, -1)).reshape(lead + m.shape[1:])
+
+
+def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
+    """The windowed backend: fill ``carried[1:]`` from ``carried[0]``.
+
+    Each step applies the transfer map of its key, the partial trace of
+    its ``after`` map onto the factors the next step carries; erasure,
+    when a unit is carried, is the one nonlinear step.
+    """
+    dims = _carried_dims(cfg)
+    transfer = [linalg.partial_trace(after, out, _kept(cfg, out)) for after, _, out in maps]
     c = carried[0]
     for k, key in enumerate(keys.tolist()):
-        # one product per member: a member's state does not depend on its stack
-        c = (c.reshape(-1, 1, dc * dc) @ maps[key]).reshape(-1, dc, dc)
+        c = _apply(transfer[key], c)
         if len(dims) > 1:  # a carried unit: erasure is the one nonlinear step
             c = erase_correlations(c, dims, cfg.erasure_lambda)
         c = linalg.hermitize(c)
@@ -451,26 +488,28 @@ def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
     return joints
 
 
-def _block_ledger(cfg: CollisionConfig, unitaries, key: int, carried: np.ndarray,
+def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
                   steps: np.ndarray) -> np.ndarray:
     """The ledger of ``steps``, all of map ``key``, from their carried
-    states: one (n, B) array per name in ``LEDGER_FIELDS``.
+    states: one (n, B) array per name in ``LEDGER_FIELDS``.  The states of
+    the step are one product each by the key's maps; the system before the
+    step is the carried system, which the unit-unit collision leaves alone.
 
     A state that fails the integrity check after the collision and erasure,
     or a reduced state outside the entropy code's eigenvalue clamp window,
     aborts with ``IntegrityError`` naming the first failing step and member.
     """
     st = cfg.streams[key % len(cfg.streams)]
-    before, after, dims = _collide(cfg, unitaries, carried, _carried_dims(cfg), key)
+    after_map, pre_e_map, dims = maps[key]
     fresh = len(dims) - 1
-    pre_s, pre_e = (linalg.partial_trace(before, dims, [i]) for i in (0, fresh))
-    del before  # the largest states of a block: keep at most two alive
+    pre_s = linalg.partial_trace(carried, dims[:-1], [0])
+    pre_e, after = _apply(pre_e_map, carried), _apply(after_map, carried)
     try:
         after = _integrity(erase_correlations(after, dims, cfg.erasure_lambda), steps)
     except IntegrityError as exc:
         earlier = steps < exc.step  # a reduced state may have failed there
         if earlier.any():
-            _block_ledger(cfg, unitaries, key, carried[earlier], steps[earlier])
+            _block_ledger(cfg, maps, key, carried[earlier], steps[earlier])
         raise
     post_s, post_e, pair = (linalg.partial_trace(after, dims, keep)
                             for keep in ([0], [fresh], [0, fresh]))
@@ -502,9 +541,10 @@ def _block_ledger(cfg: CollisionConfig, unitaries, key: int, carried: np.ndarray
                      sigma, qstate.relative_entropy(post_e, pre_e, base)])
 
 
-def _account(cfg: CollisionConfig, unitaries, keys: np.ndarray,
+def _account(cfg: CollisionConfig, maps, keys: np.ndarray,
              carried: np.ndarray) -> np.ndarray:
-    """The ledger, (len(LEDGER_FIELDS), n_steps, B), from the carried states.
+    """The ledger, (len(LEDGER_FIELDS), n_steps, B), from the carried states
+    and the ``_maps`` of the run.
 
     Steps are accounted in blocks of about ``LEDGER_BLOCK`` states (steps
     times stack members), the steps of one map together, so the rebuilt
@@ -517,7 +557,7 @@ def _account(cfg: CollisionConfig, unitaries, keys: np.ndarray,
         for key in np.unique(keys[block]).tolist():
             steps = block[keys[block] == key]
             try:
-                ledger[:, steps] = _block_ledger(cfg, unitaries, key, carried[steps], steps)
+                ledger[:, steps] = _block_ledger(cfg, maps, key, carried[steps], steps)
             except IntegrityError as exc:
                 failures.append(exc)
         if failures:
@@ -530,6 +570,7 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
     cfg.validate()
     unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
     keys = _step_keys(cfg)
+    maps = _maps(cfg, unitaries, keys)
     inits = np.array(inits, dtype=complex)
     dims = _carried_dims(cfg)
     # before the first step the carried unit is a fresh one that step ignores
@@ -540,12 +581,12 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
     if cfg.backend == "full":
         joints = _grow(cfg, unitaries, keys, inits, carried)
     else:
-        _iterate(cfg, unitaries, keys, carried)
+        _iterate(cfg, maps, keys, carried)
     snapshots = carried
     if len(dims) > 1:
         snapshots = linalg.partial_trace(carried, dims, [0])
         snapshots[0] = inits
-    ledger = _account(cfg, unitaries, keys, carried)
+    ledger = _account(cfg, maps, keys, carried)
     return TrajectoryStack(config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
                            snapshots=snapshots, joint_snapshots=joints)
 
@@ -566,8 +607,7 @@ def run_stack(cfg: CollisionConfig, inits) -> TrajectoryStack:
     if inits.ndim != 3 or inits.shape[1:] != (cfg.system_dim, cfg.system_dim):
         raise ConfigError(f"initial states must have shape (B, {cfg.system_dim}, "
                           f"{cfg.system_dim}), got {inits.shape}")
-    for rho in inits:
-        qstate.validate_density_matrix(rho)
+    qstate.validate_density_matrix(inits)
     return _propagate(cfg, inits)
 
 

@@ -75,12 +75,21 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     keep = sorted(set(keep))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ConfigError(f"bad keep set {keep} for {n} factors")
+    # one axis per run of adjacent factors all kept or all traced: einsum has
+    # only 52 labels, and a kept axis takes two
+    sizes, kept = [], []
+    for i, dim in enumerate(dims):
+        if kept and kept[-1] == (i in keep):
+            sizes[-1] *= dim
+        else:
+            sizes.append(dim)
+            kept.append(i in keep)
+    n = len(sizes)
     batch = m.shape[:-2]
-    t = m.reshape(batch + tuple(dims + dims))
-    b, k = len(batch), n
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=b + ax, axis2=b + ax + k)
-        k -= 1
+    out = [i for i in range(n) if kept[i]]
+    t = np.einsum(m.reshape(batch + tuple(sizes * 2)),
+                  [..., *range(n), *(n + i if kept[i] else i for i in range(n))],
+                  [..., *out, *(n + i for i in out)])
     dk = math.prod(dims[i] for i in keep)
     return t.reshape(batch + (dk, dk))
 
@@ -107,6 +116,10 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ConfigError("evolution time must be finite")
     vals, vecs = herm_eig(h)
+    radius = float(np.max(np.abs(vals)))
+    if not math.isfinite(radius * float(t)):  # a phase beyond the float range
+        raise ConfigError(f"phase of exp(-i h t) overflows: spectral radius "
+                          f"{radius:.3g} times t = {t:.3g}")
     phases = np.exp(-1j * vals * t)
     return (vecs * phases) @ vecs.conj().T
 

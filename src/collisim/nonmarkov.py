@@ -142,3 +142,15 @@ def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory,
     dist = distinguishability_series(traj_a, traj_b, metric).tolist()
     return [BoundReport(s, t, dist[t] - dist[s], *terms[s])
             for s in range(len(dist)) for t in range(s, len(dist))]
+
+
+def tightest_revival(reports: list[BoundReport]) -> BoundReport | None:
+    """The report of smallest slack among genuine revivals (s >= 1 and a
+    revival above ``REVIVAL_THRESHOLD``, so t > s), or None when there is
+    none.
+
+    The rest of the family is tight by construction: t = s has lhs = 0,
+    and s = 0 has all three terms 0.
+    """
+    return min((r for r in reports if r.s >= 1 and r.lhs > REVIVAL_THRESHOLD),
+               key=lambda r: r.slack, default=None)

@@ -25,20 +25,26 @@ _TINY = np.finfo(float).tiny
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as complex array."""
+    """Check Hermiticity, unit trace and positivity; return as complex array.
+
+    A stack ``(..., d, d)`` is checked member by member; the error names the
+    first failing member's value, as a check of that member alone would.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ConfigError(f"density matrix must be square, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ConfigError("density matrix has non-finite entries")
     if not linalg.is_hermitian(rho, tol):
         raise ConfigError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
-        raise ConfigError(f"density matrix trace {tr} != 1")
-    vals = np.linalg.eigvalsh(linalg.hermitize(rho))
-    if vals[0] < -tol:
-        raise ConfigError(f"density matrix has negative eigenvalue {vals[0]:.3g}")
+    tr = np.ravel(np.trace(rho, axis1=-2, axis2=-1).real)
+    off = np.abs(tr - 1.0) > tol
+    if off.any():
+        raise ConfigError(f"density matrix trace {tr[np.argmax(off)]} != 1")
+    low = np.ravel(np.linalg.eigvalsh(linalg.hermitize(rho))[..., 0])
+    if (low < -tol).any():
+        raise ConfigError(f"density matrix has negative eigenvalue "
+                          f"{low[np.argmax(low < -tol)]:.3g}")
     return rho
 
 
@@ -64,8 +70,8 @@ def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
     if not (np.isfinite(beta) and beta >= 0):
         raise ConfigError(f"inverse temperature must be finite and >= 0, got {beta}")
     vals, vecs = linalg.herm_eig(h)
-    w = -beta * (vals - vals.min())
-    p = np.exp(w)
+    with np.errstate(over="ignore"):  # beta * gap past the float range: weight exp(-inf) = 0
+        p = np.exp(-beta * (vals - vals.min()))
     p /= p.sum()
     return (vecs * p) @ vecs.conj().T
 

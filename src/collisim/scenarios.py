@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -171,10 +171,13 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
                 # the joint snapshots of the oracle pair are freed once the reports exist
                 reports = nonmarkov.all_pair_bound_reports(
                     *run_paired(oracle, EXCITED, GROUND), p["metric"])
+                tightest = nonmarkov.tightest_revival(reports)
                 done[channel] = traj_a, {
                     "blp": nonmarkov.blp_measure(series),
                     "first_revival_step": nonmarkov.first_revival_step(series),
                     "min_bound_slack": float(min(r.slack for r in reports)),
+                    "min_revival_slack": None if tightest is None
+                    else {"slack": tightest.slack, **asdict(tightest)},
                     "max_revival_lhs": float(max(r.lhs for r in reports)),
                 }
             traj_a, findings = done[channel]
@@ -355,6 +358,11 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
             streams=[stream], interactions=[partial_swap_interaction(2)],
             tau=tau, coupling=theta / tau, n_steps=n,
             rng_seed=seed, log_base=log_base)
+        try:  # the collision count is set by total_time and tau: name both
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"total_time {p['total_time']!r} over the tau_grid step "
+                              f"{tau!r}: {exc}") from None
         traj = run(cfg)
         t = tau * np.arange(n + 1)
         pop = traj.snapshots[:, 0, 0].real

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collisim import engine, linalg, nonmarkov, qstate
+from collisim import engine, linalg, nonmarkov, qstate, scenarios
 from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
                              collision_unitary, erase_correlations,
                              partial_swap_interaction, partial_swap_unitary, run,
@@ -453,7 +453,8 @@ class TestIntegrity:
 def account(cfg, carried):
     """The deferred accounting of ``cfg`` over the carried states ``carried``."""
     unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
-    return engine._account(cfg, unitaries, engine._step_keys(cfg), carried)
+    keys = engine._step_keys(cfg)
+    return engine._account(cfg, engine._maps(cfg, unitaries, keys), keys, carried)
 
 
 def carried_states(n_steps=8, members=3):
@@ -480,6 +481,41 @@ class TestLedger:
         assert all(v.shape == (8, 3) for v in ledger)
 
 
+class TestStepMaps:
+    """The maps of each key, applied to a carried stack, give what
+    ``_collide`` gives on it directly."""
+
+    @staticmethod
+    def assert_maps_match(cfg, n_keys):
+        unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
+        maps = engine._maps(cfg, unitaries, engine._step_keys(cfg))
+        assert len(maps) == n_keys
+        dims = engine._carried_dims(cfg)
+        carried = random_stack(np.random.default_rng(6), n=4, dim=math.prod(dims))
+        for key, (after_map, pre_e_map, out) in enumerate(maps):
+            before, after, direct_out = engine._collide(cfg, unitaries, carried, dims, key)
+            assert out == direct_out
+            assert np.max(np.abs(engine._apply(after_map, carried) - after)) <= 1e-13
+            pre_e = linalg.partial_trace(before, out, [len(out) - 1])
+            assert np.max(np.abs(engine._apply(pre_e_map, carried) - pre_e)) <= 1e-13
+
+    @pytest.mark.parametrize("erasure", [1.0, 0.6])
+    @pytest.mark.parametrize("mode,p,n_keys", [("off", 0.0, 1), ("coherent", 0.6, 2),
+                                               ("incoherent", 1.0, 2)])
+    def test_one_stream(self, mode, p, n_keys, erasure):
+        self.assert_maps_match(qubit_config(theta=0.8, n_steps=4, aa_mode=mode,
+                                            aa_swap_prob=p, erasure_lambda=erasure),
+                               n_keys)
+
+    @pytest.mark.parametrize("erasure", [1.0, 0.6])
+    def test_two_streams(self, erasure):
+        self.assert_maps_match(two_stream_config(erasure_lambda=erasure), 2)
+
+    def test_two_qubit_system(self):
+        p = dict(scenarios.TWO_QUBIT_DEFAULTS, n_steps=4)
+        self.assert_maps_match(scenarios._two_qubit_config(p, 0, 2.0), 2)
+
+
 BROKEN = np.diag([1.0 + 1e-6, -1e-6])     # fails the PSD_ABORT floor
 CLAMPED = np.diag([1.0 + 1e-9, -1e-9])    # passes it, fails the clamp window
 
@@ -489,8 +525,8 @@ def plant(monkeypatch, step, member, state):
     member ``member`` before step ``step``."""
     iterate = engine._iterate
 
-    def planted(cfg, unitaries, keys, carried):
-        iterate(cfg, unitaries, keys, carried)
+    def planted(cfg, maps, keys, carried):
+        iterate(cfg, maps, keys, carried)
         carried[step, member] = state
     monkeypatch.setattr(engine, "_iterate", planted)
 
@@ -581,6 +617,12 @@ class TestRunStack:
             run_stack(cfg, EXCITED)
         with pytest.raises(ConfigError):
             run_stack(cfg, [EXCITED, 2 * GROUND])
+
+    def test_rejects_one_bad_member(self):
+        inits = random_stack(np.random.default_rng(3))
+        inits[2] = np.diag([1.25, -0.25])
+        with pytest.raises(ConfigError, match="negative eigenvalue -0.25"):
+            run_stack(qubit_config(), inits)
 
 
 def two_stream_config(**extra):

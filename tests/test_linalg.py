@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collisim import linalg
 from collisim.errors import ConfigError
@@ -50,7 +53,38 @@ class TestKron:
         assert np.allclose(left, right, rtol=1e-14, atol=1e-16)
 
 
+def partial_trace_loop(m, dims, keep):
+    """Reference partial trace: one ``np.trace`` per traced factor, on a
+    strided view, last factor first.  ``linalg.partial_trace`` does it in
+    one contraction."""
+    batch, n = m.shape[:-2], len(dims)
+    t = m.reshape(batch + tuple(dims + dims))
+    for k, ax in enumerate(sorted(set(range(n)) - set(keep), reverse=True)):
+        t = np.trace(t, axis1=len(batch) + ax, axis2=len(batch) + ax + n - k)
+    dk = math.prod(dims[i] for i in keep)
+    return t.reshape(batch + (dk, dk))
+
+
+@st.composite
+def traced_operators(draw):
+    """A random complex operator on 1-4 factors of dims 1-3, with 0-2 batch
+    axes, and its factor dims."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), math.prod(dims),
+             math.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape), dims
+
+
 class TestPartialTrace:
+    @given(traced_operators())
+    def test_matches_per_factor_traces(self, case):
+        m, dims = case
+        for k in range(1, len(dims) + 1):  # every non-empty keep set
+            for keep in itertools.combinations(range(len(dims)), k):
+                out = linalg.partial_trace(m, dims, keep)
+                assert np.max(np.abs(out - partial_trace_loop(m, dims, keep))) <= 1e-13
+
     def test_product_state(self):
         rng = np.random.default_rng(2)
         rho = random_density_matrix(rng, 2)

@@ -208,6 +208,16 @@ class TestBoundReports:
             assert r.lhs == dist[r.t] - dist[r.s]
             assert [r.rhs_env, r.rhs_corr_rho, r.rhs_corr_sigma] == terms[r.s].tolist()
 
+    def test_tightest_revival_skips_the_tight_family(self):
+        BoundReport = nonmarkov.BoundReport
+        trivial = [BoundReport(0, 2, 0.5, 0.0, 0.0, 0.0),    # s = 0
+                   BoundReport(2, 2, 0.0, 0.1, 0.0, 0.0),    # t = s
+                   BoundReport(1, 3, 1e-12, 0.0, 0.0, 0.0)]  # rounding noise
+        genuine = [BoundReport(1, 2, 0.3, 0.5, 0.0, 0.0),    # slack 0.2
+                   BoundReport(2, 4, 0.2, 0.25, 0.0, 0.05)]  # slack 0.1
+        assert nonmarkov.tightest_revival(trivial) is None
+        assert nonmarkov.tightest_revival(trivial + genuine) is genuine[1]
+
     def test_windowed_backend_rejected(self):
         cfg = qubit_config(n_steps=4)
         ta, tb = run_paired(cfg, EXCITED, GROUND)

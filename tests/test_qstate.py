@@ -26,6 +26,39 @@ def random_channel(rng):
     return system_channel(cfg)
 
 
+def broken(rho, fault, size):
+    """``rho`` with one fault of the given size."""
+    rho = rho.copy()
+    if fault == "non-finite":
+        rho[0, 1] = np.nan
+    elif fault == "non-Hermitian":
+        rho[0, 1] += size
+    elif fault == "trace":
+        rho *= 1.0 + size
+    else:  # a negative eigenvalue at unit trace
+        rho = np.diag([1.0 + size, -size, 0.0])
+    return rho
+
+
+class TestValidateDensityMatrix:
+    @pytest.mark.parametrize("fault", ["non-finite", "non-Hermitian", "trace", "negative"])
+    def test_stack_raises_as_its_first_bad_member(self, fault):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_density_matrix(rng, 3) for _ in range(5)])
+        stack[2] = broken(stack[2], fault, 0.01)
+        stack[4] = broken(stack[4], fault, 0.3)
+        with pytest.raises(ConfigError) as single:
+            qstate.validate_density_matrix(stack[2])
+        with pytest.raises(ConfigError) as stacked:
+            qstate.validate_density_matrix(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_valid_stack_passes(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([random_density_matrix(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        assert np.array_equal(qstate.validate_density_matrix(stack), stack)
+
+
 class TestThermalState:
     def test_infinite_temperature(self):
         assert np.allclose(qstate.thermal_state(SZ, 0.0), np.eye(2) / 2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collisim import cli, scenarios
+from collisim import cli, nonmarkov, scenarios
 from collisim.engine import run_paired
 from collisim.errors import ConfigError
 from test_engine import BROKEN, CLAMPED, plant
@@ -222,6 +222,16 @@ class TestCli:
         cfg.write_text(json.dumps({"extra_top_level": True}))
         assert cli.main(["thermalization", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("data", [
+        b'{"overrides": {"n_steps": ' + b"9" * 5000 + b"}}",  # past int's digit limit
+        b"\xff\xfe{}",                                       # not UTF-8
+    ])
+    def test_unreadable_config_text_is_config_error(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert cli.main(["thermalization", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "cannot parse config" in capsys.readouterr().err
+
     def test_non_convergence_exit(self, tmp_path):
         # far too few collisions for a steady state
         cfg = tmp_path / "cfg.json"
@@ -339,6 +349,21 @@ class TestCli:
         # int(round(total_time / tau)) raised OverflowError
         ("continuous_limit", {"total_time": 1.8530729387025624,
                               "tau_grid": [0.324765987681986, 0.75, 5e-324]}, "tau_grid"),
+        # a collision count whose states no numpy array can address (none of
+        # these allocates: each is rejected before the first array is made)
+        ("continuous_limit", {"tau_grid": [0.92, 1e-300]}, "tau_grid"),
+        ("continuous_limit", {"tau_grid": [0.92, 1e-300]}, "total_time"),
+        ("continuous_limit", {"total_time": 1e300}, "total_time"),
+        ("thermalization", {"n_steps": 10**30}, "n_steps"),
+        ("thermalization", {"n_steps": 2**62}, "n_steps"),
+        ("nonmarkov_sweep", {"bound_steps": 10**30}, "bound_steps"),
+        # found by the fuzzer's huge values: numpy overflow warnings
+        ("landauer", {"n_steps": 6, "tau": 1e300, "omega": 1e300, "window": 2},
+         "phase of exp(-i h t) overflows"),
+        ("thermalization", {"n_steps": 24, "omega": 1e300, "theta": 5e-324,
+                            "tau": 2.6205742617166825, "beta": 1e300}, "beta 1e+300"),
+        ("landauer", {"window": 1, "n_steps": 18, "g": 1e300, "omega": -1e300,
+                      "beta_grid": [5e-324, 1e300, 0.6053249429182177]}, "beta 1e+300"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -392,14 +417,25 @@ class TestCli:
 
 
 # Config documents for the fuzzer: a valid document with at most one fault.
-# Keys that set a step count are always present and small, so no run takes
-# more than a few MB: n_steps <= 40, bound_steps <= 6, and total_time /
-# min(tau_grid) <= 2 / 0.01 (no wrong value below is a small positive tau).
+# Every addressable step count is small, so no run takes more than a few MB:
+# n_steps <= 40, bound_steps <= 6, and total_time / min(tau_grid) <= 2 / 0.01
+# (no wrong value below is a small positive tau).  A wrong value of a key that
+# sets a count may also be a count whose states no numpy array can address,
+# which is rejected before anything is allocated; never draw a huge
+# addressable count.
 NASTY = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 2), st.text(max_size=3),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]),
     st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=2),
     st.dictionaries(st.sampled_from(["", "0"]), st.integers(-1, 1), min_size=1))
+UNADDRESSABLE = {
+    "n_steps": st.sampled_from([10**30, 2**62]),
+    "bound_steps": st.sampled_from([10**30, 2**62]),
+    "total_time": st.just(1e300),
+    "tau_grid": st.just(1e-300),
+}
+# huge and subnormal finite values, for the reals that set no step count
+EXTREME = st.sampled_from([1e300, -1e300, 5e-324])
 
 
 def _grid(entries):
@@ -413,7 +449,6 @@ VALID = {
     "tau_grid": _grid(st.floats(0.01, 1.0)),
     "window": st.integers(1, 20),
     "p_grid": _grid(st.floats(0.0, 1.0)),
-    "beta_grid": _grid(st.floats(0.0, 3.0)),
     "modes": _grid(st.sampled_from(["coherent", "incoherent"])),
     "metric": st.sampled_from(["trace", "js"]),
     "interaction": st.sampled_from(["battery", "exchange"]),
@@ -423,10 +458,17 @@ ALWAYS_SET = ("n_steps", "bound_steps", "total_time", "tau_grid", "window")
 
 @st.composite
 def cli_configs(draw):
-    """A scenario name and the text of a config document for it."""
+    """A scenario name and the text of a config document for it.
+
+    In half of the documents every real that sets no step count (``omega``,
+    the betas, ``theta``, ``g``, ``J``, ``Jz``, ``gamma`` and ``tau``) may
+    also be huge or subnormal, so such values meet each other.
+    """
     name = draw(st.sampled_from(sorted(scenarios.SCENARIOS)))
     defaults = scenarios.DEFAULTS[name]
-    values = {key: VALID.get(key, st.floats(0.0, 3.0)) for key in defaults}
+    real = st.floats(0.0, 3.0) | EXTREME if draw(st.booleans()) else st.floats(0.0, 3.0)
+    values = {key: VALID.get(key, _grid(real) if key == "beta_grid" else real)
+              for key in defaults}
     overrides = draw(st.fixed_dictionaries(
         {k: v for k, v in values.items() if k in ALWAYS_SET},
         optional={k: v for k, v in values.items() if k not in ALWAYS_SET}))
@@ -436,7 +478,7 @@ def cli_configs(draw):
     fault = draw(st.none() | st.sampled_from([
         "scenario", "text", "document", "overrides", "top-level", "unknown override",
         *defaults]))
-    wrong = draw(NASTY)
+    wrong = draw(NASTY | UNADDRESSABLE[fault] if fault in UNADDRESSABLE else NASTY)
     if fault == "scenario":
         name = "warp_drive"
     elif fault == "document":
@@ -466,6 +508,32 @@ class TestCliFuzz:
                 code = cli.main([name, "--config", str(path), "--out", out])
         assert code in {cli.EXIT_OK, cli.EXIT_UNKNOWN_SCENARIO, cli.EXIT_CONFIG,
                         cli.EXIT_INTEGRITY, cli.EXIT_NOT_CONVERGED}
+
+
+class TestRevivalSlack:
+    """``min_revival_slack``: the bound's smallest slack over genuine
+    revivals, which can be non-zero where ``min_bound_slack`` cannot."""
+
+    def test_respects_the_bound(self, nonmarkov_result):
+        sweep = nonmarkov_result.summary["sweep"]
+        found = [e["min_revival_slack"] for e in sweep if e["min_revival_slack"]]
+        assert found
+        for r in found:
+            assert r["slack"] >= -1e-9
+            assert r["t"] > r["s"] >= 1 and r["lhs"] > nonmarkov.REVIVAL_THRESHOLD
+            assert r["slack"] == r["rhs_env"] + r["rhs_corr_rho"] + r["rhs_corr_sigma"] \
+                - r["lhs"]
+
+    def test_memoryless_entries_have_none(self, nonmarkov_result):
+        sweep = nonmarkov_result.summary["sweep"]
+        assert [e["min_revival_slack"] for e in sweep if e["p"] == 0] == [None, None]
+
+    def test_full_swap_slack(self, nonmarkov_result):
+        entry = next(e for e in nonmarkov_result.summary["sweep"]
+                     if (e["mode"], e["p"]) == ("coherent", 1.0))
+        r = entry["min_revival_slack"]
+        assert (r["s"], r["t"]) == (5, 7)
+        assert r["slack"] == pytest.approx(0.0955, abs=1e-4)
 
 
 class TestScenarioDeterminism:
