@@ -52,6 +52,7 @@ from . import linalg, qstate
 from .errors import ConfigError, IntegrityError
 
 PSD_ABORT = -1e-8   # eigenvalue floor beyond which a run aborts
+FULL_FACTOR_CAP = 10  # the full backend's joint dimension is at most 2**FULL_FACTOR_CAP
 LEDGER_BLOCK = 256  # states (steps x stack members) accounted at once: bounds memory
 AA_MODES = ("off", "coherent", "incoherent")
 # the per-collision quantities of a CollisionRecord, in declaration order
@@ -102,11 +103,6 @@ class AncillaStream:
             th = qstate.thermal_state(self.hamiltonian, self.beta)
             if np.max(np.abs(th - self.init_state)) > 1e-10:
                 raise ConfigError("stream beta does not match init_state")
-            # beta Q enters the ledger, and |Q| is at most the energy spread
-            spread = float(np.ptp(np.linalg.eigvalsh(self.hamiltonian)))
-            if not math.isfinite(float(self.beta) * spread):
-                raise ConfigError(f"stream beta {self.beta:.3g} times its energy spread "
-                                  f"{spread:.3g} overflows")
 
 
 @dataclass
@@ -126,9 +122,8 @@ class CollisionConfig:
     erasure_lambda: float = 1.0
     rng_seed: int = 0
     backend: str = "windowed"
-    full_factor_cap: int = 10        # full backend joint dim <= 2**cap
     log_base: float = 2.0
-    pair_metric: str = "trace"
+    pair_metric: str = "trace"       # the distinguishability metric of a pair's runs
 
     def validate(self):
         finite = {"system_hamiltonian": self.system_hamiltonian,
@@ -177,20 +172,29 @@ class CollisionConfig:
             raise ConfigError("ancilla-ancilla collisions need a single stream")
         if self.backend not in ("windowed", "full"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.pair_metric not in qstate.METRICS:
+            raise ConfigError(f"unknown pair_metric {self.pair_metric!r}, "
+                              f"not in {qstate.METRICS}")
         # a member's carried states, (n_steps + 1, d_c, d_c), must fit in one
         # numpy array, which holds at most np.intp's maximum of bytes
         state_bytes = math.prod(_carried_dims(self)) ** 2 * np.dtype(complex).itemsize
         if (int(self.n_steps) + 1) * state_bytes > np.iinfo(np.intp).max:
             raise ConfigError("n_steps is too large: the states of one member would "
                               "exceed the largest numpy array")
+        # the ledger sums beta Q / ln(base) over the run, and |Q| <= the energy spread
+        for st in (st for st in self.streams if st.beta is not None):
+            low, high = np.linalg.eigvalsh(st.hamiltonian)[[0, -1]].tolist()
+            if not math.isfinite(float(st.beta) * (high - low) / math.log(self.log_base)
+                                 * int(self.n_steps)):
+                raise ConfigError(f"stream beta {st.beta:.3g} times its energy spread "
+                                  f"{high - low:.3g} over {self.n_steps} collisions overflows")
         if self.backend == "full":
             dim = self.system_dim
             for k in range(self.n_steps):
                 dim *= self.streams[k % len(self.streams)].dim
-                if dim > 2 ** self.full_factor_cap:
-                    raise ConfigError(
-                        f"full backend joint dimension {dim} exceeds cap "
-                        f"{2 ** self.full_factor_cap}")
+                if dim > 2 ** FULL_FACTOR_CAP:
+                    raise ConfigError(f"full backend joint dimension {dim} exceeds "
+                                      f"cap {2 ** FULL_FACTOR_CAP}")
 
     def stream_index(self) -> np.ndarray:
         """The index of the stream each collision draws its unit from."""
@@ -291,9 +295,13 @@ class TrajectoryStack:
 def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
     """exp(-i (H_S + H_E + g V) tau) on the system (x) unit space."""
     st = cfg.streams[stream]
-    h = linalg.kron(cfg.system_hamiltonian, np.eye(st.dim)) \
-        + linalg.kron(np.eye(cfg.system_dim), st.hamiltonian) \
-        + cfg.coupling * cfg.interactions[stream]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        h = linalg.kron(cfg.system_hamiltonian, np.eye(st.dim)) \
+            + linalg.kron(np.eye(cfg.system_dim), st.hamiltonian) \
+            + cfg.coupling * cfg.interactions[stream]
+    if not np.isfinite(h).all():
+        raise ConfigError(f"collision Hamiltonian of stream {stream} overflows: coupling "
+                          f"{cfg.coupling:.3g} times its interaction, plus H_S + H_E")
     return linalg.unitary_from_hamiltonian(h, cfg.tau)
 
 
@@ -333,14 +341,13 @@ def apply_aa_collision(joint: np.ndarray, dims: list[int], targets: list[int],
 
 
 def system_channel(cfg: CollisionConfig, stream: int = 0):
-    """The CPTP map of a single Markovian collision on the system."""
-    st = cfg.streams[stream]
-    u = collision_unitary(cfg, stream)
-    dims = [cfg.system_dim, st.dim]
+    """The CPTP map of a single Markovian collision on the system: the
+    engine's step with a fresh unit of ``stream``, that unit traced out."""
+    unitaries = {stream: collision_unitary(cfg, stream)}
 
     def channel(rho_s: np.ndarray) -> np.ndarray:
-        joint = linalg.conjugate(u, linalg.kron(rho_s, st.init_state))
-        return linalg.partial_trace(joint, dims, [0])
+        _, after, dims = _collide(cfg, unitaries, rho_s, [cfg.system_dim], stream)
+        return linalg.partial_trace(after, dims, [0])
 
     return channel
 

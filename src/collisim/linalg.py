@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-TOL_HERM = 1e-10
+TOL_HERM = 1e-10  # the largest |entry| of h - h† that a Hermitian h may have
 
 # Pauli matrices and friends, used throughout the package and the tests.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,8 +50,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.max(np.abs(a - dagger(a))) <= TOL_HERM)
 
 
 def _check_square(a: np.ndarray) -> int:
@@ -94,17 +94,17 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     return t.reshape(batch + (dk, dk))
 
 
-def herm_eig(h: np.ndarray, tol: float = TOL_HERM):
+def herm_eig(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs
-    that are not Hermitian within ``tol`` (max absolute entry of h - h†).
+    that are not Hermitian within ``TOL_HERM``.
     """
     h = np.asarray(h, dtype=complex)
     _check_square(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ConfigError(
-            f"matrix is not Hermitian within {tol:g} "
+            f"matrix is not Hermitian within {TOL_HERM:g} "
             f"(deviation {np.max(np.abs(h - dagger(h))):.3g})"
         )
     vals, vecs = np.linalg.eigh(h)
@@ -135,19 +135,15 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(commutator(a, b))))
 
 
-def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int] | None = None,
-              targets: list[int] | None = None) -> np.ndarray:
-    """u rho u†.
+def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int],
+              targets: list[int]) -> np.ndarray:
+    """u rho u†, ``u`` acting on the factors ``targets`` of ``rho`` (in that
+    order, identity elsewhere), whose factors are ``dims``.
 
-    With ``dims`` and ``targets``, ``u`` acts on the factors ``targets`` of
-    ``rho`` (in that order, identity elsewhere) without lifting it to the
-    whole space: u (x) conj(u) is contracted into the ket and bra axes of
-    the targets in one pass.  Targets that are all the factors
-    in order give the dense product.  A stack ``rho`` of shape
-    ``(..., d, d)`` is conjugated member by member.
+    ``u`` is never lifted to the whole space: u (x) conj(u) is contracted into
+    the ket and bra axes of the targets in one pass.  A stack ``(..., d, d)``
+    is conjugated member by member.
     """
-    if targets is None or list(targets) == list(range(len(dims))):
-        return u @ rho @ u.conj().T
     dims, targets = list(dims), list(targets)
     n, m = len(dims), len(targets)
     t_dims = [dims[i] for i in targets]

@@ -28,29 +28,28 @@ from .errors import ConfigError
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
 
 
-def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory,
-                              metric: str = "trace") -> np.ndarray:
-    """Pointwise metric between the system snapshots of two trajectories,
-    one entry per snapshot (index 0 = initial states)."""
-    return qstate.state_distance(traj_a.snapshots, traj_b.snapshots, metric,
-                                 traj_a.config.log_base)
+def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
+    """Pointwise ``pair_metric`` between the system snapshots of two
+    trajectories, one entry per snapshot (index 0 = initial states)."""
+    return qstate.state_distance(traj_a.snapshots, traj_b.snapshots,
+                                 traj_a.config.pair_metric, traj_a.config.log_base)
 
 
-def blp_measure(series, threshold: float = REVIVAL_THRESHOLD):
-    """Sum of positive increments of a distinguishability series.
+def blp_measure(series):
+    """Sum of the increments above ``REVIVAL_THRESHOLD`` of a series.
 
     A 2-D array holds one series per column and gives one sum per column.
     """
     if len(series) < 2:
         raise ConfigError("series needs at least two points")
     inc = np.diff(series, axis=0)
-    total = np.where(inc > threshold, inc, 0.0).sum(axis=0)
+    total = np.where(inc > REVIVAL_THRESHOLD, inc, 0.0).sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total
 
 
-def first_revival_step(series, threshold: float = REVIVAL_THRESHOLD) -> int | None:
-    """Index n of the first increase series[n] -> series[n+1], or None."""
-    idx = np.nonzero(np.diff(series) > threshold)[0]
+def first_revival_step(series) -> int | None:
+    """Index n of the first revival series[n] -> series[n+1], or None."""
+    idx = np.nonzero(np.diff(series) > REVIVAL_THRESHOLD)[0]
     return int(idx[0]) if idx.size else None
 
 
@@ -106,14 +105,13 @@ class BoundReport:
         return self.rhs_env + self.rhs_corr_rho + self.rhs_corr_sigma - self.lhs
 
 
-def bound_terms(traj_a: Trajectory, traj_b: Trajectory,
-                metric: str = "trace") -> np.ndarray:
-    """The environment term and the two correlation terms of the bound at
-    every collision index of a full-backend pair, as an (n_steps + 1, 3)
-    array; row 0 is zero, since no unit has collided yet."""
+def bound_terms(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
+    """The environment term and the two correlation terms of the bound, in
+    the pair's metric, at every collision index of a full-backend pair, as
+    an (n_steps + 1, 3) array; row 0 is zero, since no unit has collided yet."""
     if traj_a.joint_snapshots is None or traj_b.joint_snapshots is None:
         raise ConfigError("bound terms need full-backend joint snapshots")
-    base = traj_a.config.log_base
+    metric, base = traj_a.config.pair_metric, traj_a.config.log_base
     terms = np.zeros((len(traj_a.joint_snapshots), 3))
     for s in range(1, len(terms)):
         dims = traj_a.joint_dims(s)
@@ -128,18 +126,17 @@ def bound_terms(traj_a: Trajectory, traj_b: Trajectory,
     return terms
 
 
-def precursor_series(cfg: CollisionConfig, init_a, init_b, metric: str = "trace"):
+def precursor_series(cfg: CollisionConfig, init_a, init_b):
     """The three right-hand-side terms of the bound at every collision index
     of a full-backend pair: (env_term, corr_rho, corr_sigma), each n_steps + 1 long."""
-    terms = bound_terms(*run_paired(replace(cfg, backend="full"), init_a, init_b), metric)
+    terms = bound_terms(*run_paired(replace(cfg, backend="full"), init_a, init_b))
     return terms[:, 0], terms[:, 1], terms[:, 2]
 
 
-def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory,
-                           metric: str = "trace") -> list[BoundReport]:
+def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory) -> list[BoundReport]:
     """Exhaustive (s, t) bound family, t >= s, over a completed full-backend pair."""
-    terms = bound_terms(traj_a, traj_b, metric).tolist()
-    dist = distinguishability_series(traj_a, traj_b, metric).tolist()
+    terms = bound_terms(traj_a, traj_b).tolist()
+    dist = distinguishability_series(traj_a, traj_b).tolist()
     return [BoundReport(s, t, dist[t] - dist[s], *terms[s])
             for s in range(len(dist)) for t in range(s, len(dist))]
 

@@ -20,11 +20,13 @@ from . import linalg
 from .errors import ConfigError
 
 EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, 0) are treated as 0
+STATE_TOL = 1e-10       # a valid state's trace error and negative eigenvalues are smaller
 SUPPORT_CUTOFF = 1e-12  # sigma eigenvalues below this count as outside support
 _TINY = np.finfo(float).tiny
+METRICS = ("trace", "jensen-shannon")  # the names ``state_distance`` accepts
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return as complex array.
 
     A stack ``(..., d, d)`` is checked member by member; the error names the
@@ -35,16 +37,16 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ConfigError(f"density matrix must be square, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ConfigError("density matrix has non-finite entries")
-    if not linalg.is_hermitian(rho, tol):
+    if not linalg.is_hermitian(rho):
         raise ConfigError("density matrix is not Hermitian within tolerance")
     tr = np.ravel(np.trace(rho, axis1=-2, axis2=-1).real)
-    off = np.abs(tr - 1.0) > tol
+    off = np.abs(tr - 1.0) > STATE_TOL
     if off.any():
         raise ConfigError(f"density matrix trace {tr[np.argmax(off)]} != 1")
     low = np.ravel(np.linalg.eigvalsh(linalg.hermitize(rho))[..., 0])
-    if (low < -tol).any():
+    if (low < -STATE_TOL).any():
         raise ConfigError(f"density matrix has negative eigenvalue "
-                          f"{low[np.argmax(low < -tol)]:.3g}")
+                          f"{low[np.argmax(low < -STATE_TOL)]:.3g}")
     return rho
 
 
@@ -137,10 +139,8 @@ def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
 
 def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",
                    base: float = 2.0):
-    """Dispatch between the two contractive metrics used in the package."""
-    if metric == "trace":
-        return trace_distance(rho, sigma)
-    if metric == "jensen-shannon":
-        return js_distance(rho, sigma, base)
-    raise ConfigError(f"unknown metric {metric!r}")
+    """Dispatch between the two contractive metrics ``METRICS``."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; one of {METRICS}")
+    return trace_distance(rho, sigma) if metric == "trace" else js_distance(rho, sigma, base)
 

@@ -86,11 +86,14 @@ def _check_override(name: str, key: str, value, default) -> None:
             _check_override(name, f"{key}[{i}]", entry, default[0])
 
 
-def _finite(p: dict, key: str) -> float:
-    """``p[key]``, checked finite before it scales an operator (inf * 0 is NaN)."""
-    if not math.isfinite(p[key]):
-        raise ConfigError(f"parameter {key!r} must be finite, got {p[key]!r}")
-    return p[key]
+def _scaled(p: dict, key: str, op: np.ndarray) -> np.ndarray:
+    """``p[key] * op``, rejected under ``key`` before it is formed if the scale is
+    not finite (inf * 0 is NaN) or spreads the energies of ``op`` past the float range."""
+    vals = np.linalg.eigvalsh(op).tolist()
+    if not math.isfinite(abs(p[key]) * (vals[-1] - vals[0])):
+        raise ConfigError(f"parameter {key!r} must be finite and keep the energy spread "
+                          f"in the float range, got {p[key]!r}")
+    return p[key] * op
 
 
 def _thermal_stream(h: np.ndarray, beta: float, key: str,
@@ -104,7 +107,7 @@ def _thermal_stream(h: np.ndarray, beta: float, key: str,
 
 def _pswap_config(p: dict, seed: int, log_base: float, **extra) -> CollisionConfig:
     """Qubit system + thermal qubit stream coupled by a partial SWAP."""
-    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
+    h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     if not p["tau"] > 0:  # before theta / tau, which raises at tau = 0
         raise ConfigError(f"parameter 'tau' must be > 0, got {p['tau']!r}")
     return CollisionConfig(
@@ -161,7 +164,7 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
                 cfg = _pswap_config(p, seed, log_base, aa_mode=channel[0],
                                     aa_swap_prob=prob, pair_metric=p["metric"])
                 traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
-                series = nonmarkov.distinguishability_series(traj_a, traj_b, p["metric"])
+                series = nonmarkov.distinguishability_series(traj_a, traj_b)
                 # bound verification on the exact full-state backend
                 oracle = replace(cfg, n_steps=p["bound_steps"], backend="full")
                 try:  # cfg is valid: only bound_steps can be rejected here
@@ -170,7 +173,7 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
                     raise ConfigError(f"bound_steps {p['bound_steps']!r}: {exc}") from None
                 # the joint snapshots of the oracle pair are freed once the reports exist
                 reports = nonmarkov.all_pair_bound_reports(
-                    *run_paired(oracle, EXCITED, GROUND), p["metric"])
+                    *run_paired(oracle, EXCITED, GROUND))
                 tightest = nonmarkov.tightest_revival(reports)
                 done[channel] = traj_a, {
                     "blp": nonmarkov.blp_measure(series),
@@ -210,7 +213,7 @@ def battery_interaction(kind: str) -> np.ndarray:
 
 
 def scenario_battery(p: dict, seed: int, log_base: float):
-    h = _finite(p, "omega") * linalg.SIGMA_Z  # gap 2*omega on both sides keeps V resonant
+    h = _scaled(p, "omega", linalg.SIGMA_Z)  # gap 2*omega on both sides keeps V resonant
     stream = _thermal_stream(h, p["beta"], "beta")
     cfg = CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=GROUND,
@@ -243,9 +246,9 @@ TWO_QUBIT_DEFAULTS = {
 
 def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
     sx, sy, sz, eye = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
-    h_local = _finite(p, "omega") / 2 * (linalg.kron(sz, eye) + linalg.kron(eye, sz))
-    h_int = _finite(p, "J") * (linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
-        + _finite(p, "Jz") * linalg.kron(sz, sz)
+    h_local = _scaled(p, "omega", (linalg.kron(sz, eye) + linalg.kron(eye, sz)) / 2)
+    h_int = _scaled(p, "J", linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
+        + _scaled(p, "Jz", linalg.kron(sz, sz))
     h_e = p["omega"] * sz / 2
     streams = [_thermal_stream(h_e, p["beta_hot"], "beta_hot", "bath"),
                _thermal_stream(h_e, p["beta_cold"], "beta_cold", "bath")]
@@ -297,7 +300,7 @@ LANDAUER_DEFAULTS = {
 def _landauer_config(p: dict, beta: float, seed: int, log_base: float,
                      key: str = "beta") -> CollisionConfig:
     """The erasure run at inverse temperature ``beta``, the value of ``key``."""
-    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
+    h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     v = linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X)  # not energy preserving
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
@@ -306,22 +309,20 @@ def _landauer_config(p: dict, beta: float, seed: int, log_base: float,
 
 
 def scenario_landauer(p: dict, seed: int, log_base: float):
-    cfg = _landauer_config(p, p["beta"], seed, log_base)
-    # every grid entry is checked before the first run
-    grid_cfgs = [_landauer_config(p, beta, seed, log_base, f"beta_grid[{i}]")
-                 for i, beta in enumerate(p["beta_grid"])]
-    traj = run(cfg)
-    report = thermo.landauer_report(traj, p["window"])
-    grid = []
-    for beta, gcfg in zip(p["beta_grid"], grid_cfgs):
-        grep = thermo.landauer_report(run(gcfg), p["window"])
-        grid.append({"beta": beta, "beta_Q": grep.beta_Q, "dS_anc": grep.dS_anc,
-                     "landauer_gap": grep.landauer_gap})
+    # one run per distinct beta; every config is built (its beta checked) before the first run
+    cfgs = {p["beta"]: _landauer_config(p, p["beta"], seed, log_base)}
+    for i, beta in enumerate(p["beta_grid"]):
+        cfgs.setdefault(beta, _landauer_config(p, beta, seed, log_base, f"beta_grid[{i}]"))
+    runs = {beta: run(cfg) for beta, cfg in cfgs.items()}
+    reports = {beta: thermo.landauer_report(traj, p["window"]) for beta, traj in runs.items()}
+    report = reports[p["beta"]]
+    grid = [{"beta": beta, "beta_Q": reports[beta].beta_Q, "dS_anc": reports[beta].dS_anc,
+             "landauer_gap": reports[beta].landauer_gap} for beta in p["beta_grid"]]
     return {
         "beta_Q": report.beta_Q, "dS_anc": report.dS_anc, "I_SE": report.I_SE,
         "D_relent": report.D_relent, "residual": report.residual,
         "landauer_gap": report.landauer_gap, "beta_grid": grid,
-    }, traj
+    }, runs[p["beta"]]
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
         raise ConfigError(f"total_time must be positive and finite, got {p['total_time']!r}")
     if not p["gamma"] >= 0:
         raise ConfigError(f"gamma must be >= 0, got {p['gamma']!r}")
-    h = _finite(p, "omega") * linalg.SIGMA_Z / 2
+    h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     stream = AncillaStream(2, h, GROUND)  # zero-temperature units
     curves = {}
     rep_traj = None

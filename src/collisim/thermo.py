@@ -20,7 +20,7 @@ from .engine import Trajectory
 from .errors import ConfigError, NotConvergedError
 
 STEADY_WINDOW = 50
-STEADY_DRIFT = 1e-8
+STEADY_DRIFT = 1e-8  # a drift (of fluxes or of snapshots) below this is a steady state
 
 
 @dataclass
@@ -120,8 +120,7 @@ class FluxReport:
     drift: float
 
 
-def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW,
-                        tol: float = STEADY_DRIFT) -> FluxReport:
+def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW) -> FluxReport:
     """Windowed per-collision averages of heat and work near the end of a run."""
     _check_window(window)
     q, w = traj.ledger["Q"], traj.ledger["W"]
@@ -131,7 +130,7 @@ def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW,
     q0, w0 = q[-2 * window:-window].mean(), w[-2 * window:-window].mean()
     drift = max(abs(q1 - q0), abs(w1 - w0))
     return FluxReport(Q_rate=float(q1), W_rate=float(w1),
-                      converged=bool(drift < tol), drift=float(drift))
+                      converged=bool(drift < STEADY_DRIFT), drift=float(drift))
 
 
 @dataclass
@@ -150,8 +149,7 @@ class LandauerReport:
         return self.beta_Q - self.dS_anc
 
 
-def landauer_report(traj: Trajectory, window: int = STEADY_WINDOW,
-                    tol: float = STEADY_DRIFT) -> LandauerReport:
+def landauer_report(traj: Trajectory, window: int = STEADY_WINDOW) -> LandauerReport:
     """Landauer accounting over the final ``window`` collisions.
 
     Requires a converged steady state; the exact identity
@@ -159,9 +157,9 @@ def landauer_report(traj: Trajectory, window: int = STEADY_WINDOW,
     to beta Q = I_SE + D_relent once dS_S ~ 0.
     """
     drift = steady_state_drift(traj, window)
-    if drift >= tol:
+    if drift >= STEADY_DRIFT:
         raise NotConvergedError(
-            f"steady state not reached: snapshot drift {drift:.3g} >= {tol:g}",
+            f"steady state not reached: snapshot drift {drift:.3g} >= {STEADY_DRIFT:g}",
             drift=drift)
     base = traj.config.log_base
     led = build_ledger(traj)

@@ -221,11 +221,12 @@ class TestRun:
             run(cfg)
 
     def test_full_backend_cap_is_inclusive(self):
-        # 2 * 2**9 = 2**10: exactly at the default cap (validated, not run)
-        qubit_config(n_steps=9, backend="full").validate()
-        qubit_config(n_steps=3, backend="full", full_factor_cap=4).validate()
-        with pytest.raises(ConfigError):
-            qubit_config(n_steps=4, backend="full", full_factor_cap=4).validate()
+        # a qubit and n qubit units: 2**(n + 1), exactly at the cap for
+        # n = FULL_FACTOR_CAP - 1 (validated, not run: nothing is allocated)
+        cap = engine.FULL_FACTOR_CAP
+        qubit_config(n_steps=cap - 1, backend="full").validate()
+        with pytest.raises(ConfigError, match=f"joint dimension {2 ** (cap + 1)} exceeds"):
+            qubit_config(n_steps=cap, backend="full").validate()
 
     def test_full_backend_retains_joint(self):
         cfg = qubit_config(n_steps=3, backend="full")
@@ -399,6 +400,42 @@ class TestConfigValidation:
                               aa_mode="coherent", aa_swap_prob=0.5)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("reject,fragment", [
+        (lambda: replace(qubit_config(), tau=0.0).validate(), "tau must be positive"),
+        (lambda: qubit_config(erasure_lambda=1.5).validate(), "erasure_lambda must lie"),
+        (lambda: qubit_config(backend="gpu").validate(), "unknown backend 'gpu'"),
+        (lambda: qubit_config(pair_metric="js").validate(), "unknown pair_metric 'js'"),
+        (lambda: replace(qubit_config(), system_init=qstate.maximally_mixed(3)).validate(),
+         "system_init dimension mismatch"),
+        (lambda: replace(qubit_config(), system_hamiltonian=np.eye(3)).validate(),
+         "system Hamiltonian dimension mismatch"),
+        (lambda: replace(qubit_config(), streams=[], interactions=[]).validate(),
+         "at least one ancilla stream"),
+        (lambda: replace(qubit_config(), streams=qubit_config().streams * 2).validate(),
+         "one interaction matrix per stream"),
+        (lambda: replace(qubit_config().streams[0], role="sink").validate(),
+         "unknown stream role 'sink'"),
+        (lambda: replace(qubit_config().streams[0], hamiltonian=np.eye(3)).validate(),
+         "stream Hamiltonian dimension mismatch"),
+        (lambda: replace(qubit_config().streams[0], beta=None,
+                         init_state=qstate.maximally_mixed(3)).validate(),
+         "stream init_state dimension mismatch"),
+        (lambda: collision_unitary(replace(qubit_config(theta=1e308), interactions=[
+            linalg.kron(SX, SX) - linalg.kron(SY, SY)]), 0),  # entries 2e308
+         "collision Hamiltonian of stream 0 overflows: coupling 1e+308"),
+        (lambda: partial_swap_unitary(1, 0.3), "partial swap needs dim >= 2"),
+        (lambda: apply_aa_collision(np.eye(4) / 4, [2, 2], [0, 1], 0.5, "sometimes"),
+         "unknown aa mode 'sometimes'"),
+        (lambda: apply_aa_collision(np.eye(6) / 6, [2, 3], [0, 1], 0.5, "coherent"),
+         "needs equal dims"),
+        (lambda: apply_aa_collision(np.eye(4) / 4, [2, 2], [0, 1], 0.5, "incoherent"),
+         "needs a coin"),
+        (lambda: erase_correlations(np.eye(4) / 4, [2, 2], 1.5), "erasure lambda must lie"),
+    ])
+    def test_rejection_names_its_cause(self, reject, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            reject()
 
 
 def state_with_min_eig(min_eig, dim=8, trace=2.0):
@@ -667,7 +704,7 @@ class TestLedgerColumns:
         cfg = qubit_config(theta=0.4, n_steps=8, aa_mode="incoherent",
                            aa_swap_prob=0.5, rng_seed=3, pair_metric=metric)
         ta, tb = run_paired(cfg, EXCITED, GROUND)
-        series = nonmarkov.distinguishability_series(ta, tb, metric)
+        series = nonmarkov.distinguishability_series(ta, tb)
         assert np.array_equal(ta.ledger["D_pair"], series[1:])
         assert np.array_equal(tb.ledger["D_pair"], series[1:])
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,8 @@ class TestLocalConjugate:
         ([2, 3, 2], [0, 1]),       # mixed dims
         ([2, 3, 2], [2, 1]),
         ([2] * 9, [0, 8]),         # first and last of nine qubits
+        ([2, 2], [0, 1]),          # all factors, in order
+        ([4, 2], [0, 1]),
     ])
     def test_matches_dense_lift(self, dims, targets):
         rng = np.random.default_rng(15)
@@ -248,15 +251,8 @@ class TestLocalConjugate:
         u = rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))
         rho = random_density_matrix(rng, int(np.prod(dims)))
         local = linalg.conjugate(u, rho, dims, targets)
-        dense = linalg.conjugate(embed_operator(u, dims, targets), rho)
-        assert np.max(np.abs(local - dense)) < 1e-12
-
-    def test_all_factors_in_order_is_dense_product(self):
-        rng = np.random.default_rng(16)
-        u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = random_density_matrix(rng, 4)
-        assert np.array_equal(linalg.conjugate(u, rho, [2, 2], [0, 1]),
-                              u @ rho @ u.conj().T)
+        lift = embed_operator(u, dims, targets)
+        assert np.max(np.abs(local - lift @ rho @ lift.conj().T)) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -312,3 +308,13 @@ class TestStacks:
     def test_rejects_non_square_stack(self):
         with pytest.raises(ConfigError):
             linalg.partial_trace(np.zeros((3, 4, 2)), [2, 2], [0])
+
+
+@pytest.mark.parametrize("reject,fragment", [
+    (lambda: linalg.partial_trace(np.eye(4), [2, 2], []), "bad keep set []"),
+    (lambda: linalg.partial_trace(np.eye(4), [2, 2], [0, 2]), "bad keep set [0, 2]"),
+    (lambda: linalg.unitary_from_hamiltonian(SZ, math.inf), "evolution time must be finite"),
+])
+def test_rejection_names_its_cause(reject, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        reject()

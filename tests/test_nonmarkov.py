@@ -56,11 +56,13 @@ class TestDistinguishabilitySeries:
 
     def test_metric_choice_is_respected(self):
         cfg = qubit_config(n_steps=4)
-        ta, tb = run_paired(cfg, EXCITED, GROUND)
-        tr = nonmarkov.distinguishability_series(ta, tb, "trace")
-        js = nonmarkov.distinguishability_series(ta, tb, "jensen-shannon")
+        tr = nonmarkov.distinguishability_series(*run_paired(cfg, EXCITED, GROUND))
+        ta, tb = run_paired(replace(cfg, pair_metric="jensen-shannon"), EXCITED, GROUND)
+        js = nonmarkov.distinguishability_series(ta, tb)
+        # the metric changes the series, not the dynamics
         assert np.array_equal(tr, qstate.trace_distance(ta.snapshots, tb.snapshots))
         assert np.array_equal(js, qstate.js_distance(ta.snapshots, tb.snapshots))
+        assert np.array_equal(ta.ledger["D_pair"], js[1:])
         # both start at their maximal value for orthogonal pure states
         assert tr[0] == pytest.approx(1.0, abs=1e-10)
         assert js[0] == pytest.approx(1.0, abs=1e-10)
@@ -70,7 +72,7 @@ class TestDistinguishabilitySeries:
         cfg = qubit_config(n_steps=10, aa_mode="coherent", aa_swap_prob=1.0,
                            pair_metric=metric)
         ta, tb = run_paired(cfg, EXCITED, GROUND)
-        series = nonmarkov.distinguishability_series(ta, tb, metric)
+        series = nonmarkov.distinguishability_series(ta, tb)
         assert nonmarkov.blp_measure(series) > 0.1
 
 

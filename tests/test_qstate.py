@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,3 +298,14 @@ class TestStacks:
         rho[3] = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9])
         with pytest.raises(ConfigError, match="-1e-09"):
             qstate.von_neumann_entropy(rho)
+
+
+@pytest.mark.parametrize("reject,fragment", [
+    (lambda: qstate.validate_density_matrix(np.zeros((2, 3))), "must be square"),
+    (lambda: qstate.relative_entropy(np.eye(2) / 2, np.eye(3) / 3), "dimension mismatch"),
+    (lambda: qstate.state_distance(np.eye(2) / 2, np.eye(2) / 2, "js"),
+     "unknown metric 'js'"),
+])
+def test_rejection_names_its_cause(reject, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        reject()

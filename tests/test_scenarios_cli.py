@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collisim import cli, nonmarkov, scenarios
-from collisim.engine import run_paired
+import collisim
+from collisim import cli, engine, nonmarkov, scenarios
+from collisim.engine import run, run_paired
 from collisim.errors import ConfigError
 from test_engine import BROKEN, CLAMPED, plant
 
@@ -177,9 +182,22 @@ class TestTrajectoryOutput:
                     assert csv_val == json_val  # 17 significant digits round-trip
 
     def test_first_law_checked_at_write_time(self):
-        result = scenarios.run_scenario("thermalization", FAST)
-        rows = scenarios.trajectory_rows(result.trajectory)
-        assert len(rows) == 150
+        traj = scenarios.run_scenario("thermalization", FAST).trajectory
+        assert len(scenarios.trajectory_rows(traj)) == 150
+        traj.ledger["W"][7] += 1e-6
+        with pytest.raises(ConfigError, match="first-law residual"):
+            scenarios.trajectory_rows(traj)
+
+    def test_entropy_chain_checked_at_write_time(self):
+        traj = scenarios.run_scenario("thermalization", FAST).trajectory
+        traj.ledger["I_SE"][7] = -1e-6
+        with pytest.raises(ConfigError, match="entropy-production chain"):
+            scenarios.trajectory_rows(traj)
+        # with unit-unit collisions a unit may arrive correlated: no chain check
+        traj = scenarios.run_scenario("nonmarkov_sweep", SMALL["nonmarkov_sweep"]).trajectory
+        assert traj.config.aa_mode == "coherent"
+        traj.ledger["I_SE"][1] = -1e-6
+        assert len(scenarios.trajectory_rows(traj)) == 4
 
 
 class TestCli:
@@ -287,6 +305,29 @@ class TestCli:
             coherent, incoherent = entries["coherent", p], entries["incoherent", p]
             assert {**coherent, "mode": None} == {**incoherent, "mode": None}
 
+    def test_unknown_metric_fails_before_any_collision(self, tmp_path, capsys,
+                                                        monkeypatch):
+        built = []
+        monkeypatch.setattr(engine, "collision_unitary", lambda *args: built.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"metric": "js"}}))
+        code = cli.main(["nonmarkov_sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown pair_metric 'js'" in capsys.readouterr().err
+        assert built == []
+
+    def test_each_distinct_landauer_beta_runs_once(self, monkeypatch, landauer_result):
+        betas = []
+
+        def counted(cfg):
+            betas.append(cfg.streams[0].beta)
+            return run(cfg)
+        monkeypatch.setattr(scenarios, "run", counted)
+        result = scenarios.run_scenario("landauer")
+        # beta = 1.0 is also a grid entry: 4 runs, not 5
+        assert betas == [1.0, 0.1, 0.5, 2.0]
+        assert result.summary == landauer_result.summary
+
     def test_nan_theta_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"overrides": {"theta": NaN, "n_steps": 10}}')
@@ -318,6 +359,7 @@ class TestCli:
         ("nonmarkov_sweep", {"modes": []}, "modes"),
         ("nonmarkov_sweep", {"p_grid": []}, "p_grid"),
         ("landauer", {"beta_grid": []}, "beta_grid"),
+        ("battery", {"interaction": "spin"}, "unknown interaction kind 'spin'"),
         # a non-finite Hamiltonian scale is rejected before inf * 0 gives NaN
         ("thermalization", {"omega": math.inf}, "'omega'"),
         ("thermalization", {"omega": math.nan}, "'omega'"),
@@ -364,6 +406,21 @@ class TestCli:
                             "tau": 2.6205742617166825, "beta": 1e300}, "beta 1e+300"),
         ("landauer", {"window": 1, "n_steps": 18, "g": 1e300, "omega": -1e300,
                       "beta_grid": [5e-324, 1e300, 0.6053249429182177]}, "beta 1e+300"),
+        # scales near the float maximum: each overflowing product is named
+        ("battery", {"omega": 1e308}, "'omega'"),
+        ("battery", {"omega": -1e308}, "'omega'"),
+        ("battery", {"g": 1e308}, "coupling 1e+308"),
+        ("battery", {"g": -1e308}, "coupling -1e+308"),
+        ("two_qubit_local_global", {"g": 1e308}, "coupling 1e+308"),
+        ("two_qubit_local_global", {"g": -1e308}, "coupling -1e+308"),
+        ("two_qubit_local_global", {"J": 1e308}, "'J'"),
+        ("two_qubit_local_global", {"J": -1e308}, "'J'"),
+        # beta Q stays finite, beta Q / ln 2 does not
+        ("nonmarkov_sweep", {"omega": 1.7e308, "n_steps": 1, "bound_steps": 1},
+         "beta 1 times its energy spread 1.7e+308 over 1 collisions overflows"),
+        # each beta Q / ln 2 is finite, their sum over the flux window is not
+        ("landauer", {"n_steps": 14, "window": 9, "beta_grid": [1e308], "tau": 1e308},
+         "beta 1e+308 times its energy spread 1 over 14 collisions overflows"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -382,6 +439,7 @@ class TestCli:
         ({"log_base": "10"}, [], "log_base"),
         ({"log_base": 10}, [], "log_base"),
         ({"log_base": 2.5}, [], "log_base"),
+        ({"emit": "xml"}, [], "emit"),
     ])
     def test_bad_top_level_value_is_config_error(self, tmp_path, capsys, doc, argv, key):
         cfg = tmp_path / "cfg.json"
@@ -390,6 +448,20 @@ class TestCli:
                          *argv])
         assert code == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jz", [1e308, -1e308])
+    def test_near_maximum_jz_is_config_error(self, tmp_path, capsys, jz):
+        # Jz zz spreads its energies past the float maximum: rejected before any
+        # product with it (the detailed-balance commutators) can overflow
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"Jz": jz}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["two_qubit_local_global", "--config", str(cfg),
+                             "--out", str(tmp_path)])
+        assert caught == []
+        assert code == cli.EXIT_CONFIG
+        assert "'Jz'" in capsys.readouterr().err
 
     def test_zero_window_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -434,8 +506,9 @@ UNADDRESSABLE = {
     "total_time": st.just(1e300),
     "tau_grid": st.just(1e-300),
 }
-# huge and subnormal finite values, for the reals that set no step count
-EXTREME = st.sampled_from([1e300, -1e300, 5e-324])
+# huge (up to the float maximum's order) and subnormal finite values, for
+# the reals that set no step count
+EXTREME = st.sampled_from([1e300, -1e300, 1e308, -1e308, 5e-324])
 
 
 def _grid(entries):
@@ -508,6 +581,27 @@ class TestCliFuzz:
                 code = cli.main([name, "--config", str(path), "--out", out])
         assert code in {cli.EXIT_OK, cli.EXIT_UNKNOWN_SCENARIO, cli.EXIT_CONFIG,
                         cli.EXIT_INTEGRITY, cli.EXIT_NOT_CONVERGED}
+
+
+class TestModuleEntryPoint:
+    """``python -m collisim.cli``: the ``__main__`` block and ``cli.entry``."""
+
+    @pytest.mark.parametrize("scenario,overrides,code", [
+        ("thermalization", {"n_steps": 10}, cli.EXIT_OK),
+        ("warp_drive", {}, cli.EXIT_UNKNOWN_SCENARIO),
+        ("thermalization", {"n_steps": 0}, cli.EXIT_CONFIG),
+    ])
+    def test_exit_codes(self, tmp_path, scenario, overrides, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        src = str(Path(collisim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "collisim.cli", scenario, "--config", str(cfg),
+             "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "thermalization_0.csv").exists() == (code == cli.EXIT_OK)
 
 
 class TestRevivalSlack:

@@ -304,8 +304,8 @@ class TestSteadyStateFluxes:
         # off-resonant xx coupling: the drive keeps paying switching work
         cfg = make_config(linalg.kron(SX, SX), h_s=1.0 * SZ / 2, h_e=1.3 * SZ / 2,
                           theta=0.5, n_steps=600)
-        rep = thermo.steady_state_fluxes(run(cfg), tol=1e-6)
-        assert rep.converged
+        rep = thermo.steady_state_fluxes(run(cfg))
+        assert rep.drift < 1e-6
         assert abs(rep.W_rate) > 1e-4
 
     def test_too_short_raises(self):
