@@ -383,7 +383,7 @@ def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     try:
         np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
     except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(joint)[..., 0]
+        low = linalg.sector_eigvalsh(joint)[..., 0]
         if (low < PSD_ABORT).any():
             step, member, index = _first(low < PSD_ABORT, steps)
             raise IntegrityError(

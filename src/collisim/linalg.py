@@ -1,13 +1,20 @@
 """Dense complex matrix kernel.
 
 Tensor products, partial traces, Hermitian eigendecomposition,
-Hamiltonian-generated unitaries, commutators and conjugation by an
-operator on a subset of factors.
+spectra split along the exact nonzero pattern, Hamiltonian-generated
+unitaries, commutators and conjugation by an operator on a subset of
+factors.
 All operators are plain ``numpy.ndarray`` in row-major order; subsystem
 index 0 is always the system, ascending indices are later ancillas, and
 ``kron`` composes left-to-right in that order.  ``kron``, ``hermitize``,
-``partial_trace``, ``herm_eig`` and ``conjugate`` also take stacks of
-shape ``(..., d, d)`` and act on each matrix of the stack.
+``partial_trace``, ``herm_eig``, ``sector_eigvalsh`` and ``conjugate``
+also take stacks of shape ``(..., d, d)`` and act on each matrix of the
+stack.
+
+``sector_eigvalsh`` diagonalizes each connected component of a matrix's
+nonzero pattern on its own.  Permuting to blocks is a similarity
+transform, so the spectrum is exact and no tolerance is involved; a dense
+matrix is one block and takes the plain ``eigvalsh`` call.
 """
 
 from __future__ import annotations
@@ -111,6 +118,39 @@ def herm_eig(h: np.ndarray):
     return vals, vecs
 
 
+def sector_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a Hermitian matrix or stack ``(..., d, d)``,
+    one ``eigvalsh`` per connected component of the union of the stack's
+    nonzero patterns.
+
+    Only exact zeros split the matrix, so the result equals the dense
+    spectrum up to rounding.  A dense matrix is one component, and a
+    non-finite one is passed whole to ``eigvalsh`` as well, which decides
+    what such an input gives.
+    """
+    a = np.asarray(a)
+    d = _check_square(a)
+    pattern = (a != 0).reshape(-1, d, d).any(axis=0)
+    if pattern.all() or not np.isfinite(a).all():
+        return np.linalg.eigvalsh(a)
+    pattern |= pattern.T
+    # min-label propagation with pointer jumping: each index ends up holding
+    # an index of its own component, the same one across the component
+    label = np.arange(d)
+    while True:
+        new = np.minimum(label, np.where(pattern, label, d).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    if len(blocks) == 1:
+        return np.linalg.eigvalsh(a)
+    vals = [np.linalg.eigvalsh(a[..., b[:, None], b]) for b in blocks]
+    return np.sort(np.concatenate(vals, axis=-1), axis=-1)
+
+
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition."""
     if not np.isfinite(t):
@@ -125,8 +165,14 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab - ba, rejected before the products if they could leave the float
+    range: a partial sum of either product is at most d max|a| max|b|."""
     if a.shape != b.shape:
         raise ConfigError(f"commutator shape mismatch {a.shape} vs {b.shape}")
+    a_max, b_max = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    if not math.isfinite(2 * a.shape[-1] * a_max * b_max):
+        raise ConfigError(f"commutator of operators with entries up to {a_max:.3g} "
+                          f"and {b_max:.3g} in dimension {a.shape[-1]} overflows")
     return a @ b - b @ a
 
 

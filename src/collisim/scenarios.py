@@ -72,15 +72,23 @@ _KINDS = {tuple: ((list, tuple), "a non-empty list"), str: (str, "a string"),
 def _check_override(name: str, key: str, value, default) -> None:
     """Reject an override whose type differs from its default's.
 
-    A bool is never a number, a grid is never empty, and each entry of a
-    list must match the default's first entry.  Ranges are checked where
-    values are used.
+    A bool is never a number, a grid is never empty, a real number must
+    convert to a float (an integer past the float range does not), and each
+    entry of a list must match the default's first entry.  Ranges are
+    checked where values are used.
     """
     accepted, kind = _KINDS[type(default)]
     if not isinstance(value, accepted) or isinstance(value, bool) \
             or (isinstance(default, tuple) and not value):
         raise ConfigError(f"override {key!r} of scenario {name!r} must be {kind}, "
                           f"got {value!r}")
+    if isinstance(default, float):
+        try:
+            float(value)
+        except OverflowError:  # its digits may be too many to print
+            raise ConfigError(f"override {key!r} of scenario {name!r} must be in the "
+                              f"float range, got an integer of {value.bit_length()} "
+                              f"bits") from None
     if isinstance(default, tuple):
         for i, entry in enumerate(value):
             _check_override(name, f"{key}[{i}]", entry, default[0])
@@ -267,15 +275,19 @@ def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
     w = p["window"]
     if w < len(cfg.streams):  # the tail must hold a collision with each bath
         raise ConfigError(f"window must be >= {len(cfg.streams)}, got {w!r}")
+    try:  # the commutators need no run: a scale that overflows them fails first
+        db = [thermo.detailed_balance_report(
+            cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
+            for i in range(2)]
+    except ConfigError as exc:
+        raise ConfigError(f"parameters 'omega', 'J' and 'Jz' set the energies of the "
+                          f"detailed-balance commutators: {exc}") from None
     traj = run(cfg)
     fluxes = thermo.steady_state_fluxes(traj, w)  # validates the window first
     stream, q = traj.config.stream_index()[-w:], traj.ledger["Q"][-w:]
     q_hot = float(np.mean(q[stream == 0]))
     q_cold = float(np.mean(q[stream == 1]))
     ledger = thermo.build_ledger(traj)
-    db = [thermo.detailed_balance_report(
-        cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
-        for i in range(2)]
     return {
         "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": fluxes.W_rate,
         "heat_flows_hot_to_cold": bool(q_hot < 0 < q_cold),

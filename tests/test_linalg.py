@@ -1,13 +1,15 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collisim import linalg
+from collisim import linalg, qstate, scenarios
+from collisim.engine import run, run_paired
 from collisim.errors import ConfigError
 from conftest import random_density_matrix, random_hermitian
 
@@ -157,6 +159,123 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ConfigError):
             linalg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def block_diagonal(rng, sizes, batch=()):
+    """A stack of Hermitian block-diagonal matrices with dense blocks of
+    ``sizes``: a pattern whose components are exactly those blocks."""
+    d = sum(sizes)
+    h = np.zeros(batch + (d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        a = rng.normal(size=batch + (size, size)) + 1j * rng.normal(size=batch + (size, size))
+        h[..., start:start + size, start:start + size] = a + linalg.dagger(a) + 1.0
+        start += size
+    return h
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The matrix dimension of every ``np.linalg.eigvalsh`` call, in order."""
+    calls, dense = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return dense(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestSectorEigvalsh:
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
+           st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(0, 2**32 - 1))
+    def test_permuted_blocks_match_dense(self, sizes, batch, seed):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(sum(sizes))
+        h = block_diagonal(rng, sizes, batch)[..., perm[:, None], perm]
+        vals = linalg.sector_eigvalsh(h)
+        assert vals.shape == batch + (sum(sizes),)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h)), initial=0.0) < 1e-12
+
+    def test_all_zero_matrix_is_singletons(self, eigvalsh_calls):
+        vals = linalg.sector_eigvalsh(np.zeros((5, 5), dtype=complex))
+        assert np.array_equal(vals, np.zeros(5))
+        assert eigvalsh_calls == [1] * 5
+
+    def test_zero_rows_are_singletons(self, eigvalsh_calls):
+        rng = np.random.default_rng(40)
+        h = random_hermitian(rng, 6)
+        h[[1, 4], :] = h[:, [1, 4]] = 0.0
+        vals = linalg.sector_eigvalsh(h)
+        assert sorted(eigvalsh_calls) == [1, 1, 4]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
+
+    def test_spectrum_is_ascending(self):
+        # the blocks' spectra interleave: 3 > 2 > 1 by block, 0.5 < 2.5 < 4
+        h = np.diag([3.0, 0.5, 2.0, 2.5, 1.0, 4.0]).astype(complex)
+        h[0, 5] = h[5, 0] = 1e-3
+        vals = linalg.sector_eigvalsh(h)
+        assert np.all(np.diff(vals) > 0)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
+
+    def test_dense_matrix_is_one_call(self, eigvalsh_calls):
+        h = random_hermitian(np.random.default_rng(41), 6)
+        assert np.array_equal(linalg.sector_eigvalsh(h), np.linalg.eigvalsh(h))
+        assert eigvalsh_calls == [6, 6]
+
+    def test_oracle_joint_splits_into_excitation_sectors(self, eigvalsh_calls):
+        # the nonmarkov_sweep oracle (coherent unit-unit swaps) at s = 8: the
+        # 9-qubit joint conserves the excitation number, so its components are
+        # the sectors of fixed excitation number, C(9, k) each
+        p = scenarios.NONMARKOV_DEFAULTS
+        cfg = scenarios._pswap_config(p, 0, 2.0, aa_mode="coherent", aa_swap_prob=1.0,
+                                      pair_metric=p["metric"])
+        traj, _ = run_paired(replace(cfg, n_steps=p["bound_steps"], backend="full"),
+                             scenarios.EXCITED, scenarios.GROUND)
+        joint = traj.joint_snapshots[8]
+        assert joint.shape == (512, 512)
+        eigvalsh_calls.clear()  # the run's own spectra
+        vals = linalg.sector_eigvalsh(joint)
+        assert sorted(eigvalsh_calls, reverse=True) == [126, 126, 84, 84, 36, 36, 9, 9, 1, 1]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(joint))) < 1e-12
+
+    def test_symmetry_breaking_joint_keeps_only_parity(self, eigvalsh_calls):
+        # landauer's sx sx coupling changes the excitation number by 0 or 2:
+        # its excitation sectors merge, and only the two parity halves remain
+        cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
+        joint = run(replace(cfg, n_steps=3, backend="full")).joint_snapshots[3]
+        assert joint.shape == (16, 16)
+        eigvalsh_calls.clear()
+        vals = linalg.sector_eigvalsh(joint)
+        assert eigvalsh_calls == [8, 8]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(joint))) < 1e-12
+
+    def test_coherent_landauer_joint_is_one_component(self, eigvalsh_calls):
+        # a system state with coherences breaks the parity too: one block,
+        # diagonalized by the plain dense call
+        cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
+        cfg = replace(cfg, n_steps=3, backend="full", system_init=qstate.bloch_state(1.0, 0.5))
+        joint = run(cfg).joint_snapshots[3]
+        eigvalsh_calls.clear()
+        vals = linalg.sector_eigvalsh(joint)
+        assert eigvalsh_calls == [16]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(joint))) < 1e-12
+
+    @pytest.mark.parametrize("entry", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_passed_to_dense(self, entry, bad):
+        # whatever the dense eigvalsh gives a non-finite input (an error or
+        # NaN eigenvalues), the split spectrum gives too
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        h[2, 3] = h[3, 2] = 0.5
+        h[entry] = h[entry[::-1]] = bad
+        try:
+            dense = np.linalg.eigvalsh(h)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc))):
+                linalg.sector_eigvalsh(h)
+        else:
+            assert np.array_equal(linalg.sector_eigvalsh(h), dense, equal_nan=True)
 
 
 class TestUnitaryFromHamiltonian:
@@ -314,6 +433,7 @@ class TestStacks:
     (lambda: linalg.partial_trace(np.eye(4), [2, 2], []), "bad keep set []"),
     (lambda: linalg.partial_trace(np.eye(4), [2, 2], [0, 2]), "bad keep set [0, 2]"),
     (lambda: linalg.unitary_from_hamiltonian(SZ, math.inf), "evolution time must be finite"),
+    (lambda: linalg.commutator(8e307 * SZ, SX), "in dimension 2 overflows"),
 ])
 def test_rejection_names_its_cause(reject, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):

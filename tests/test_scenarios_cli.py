@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import collisim
@@ -463,6 +463,39 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "'Jz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["thermalization", "landauer"])
+    def test_integer_past_float_range_is_config_error(self, tmp_path, capsys, scenario):
+        # valid JSON whose integer no float holds: rejected with the override
+        # checks, not by an OverflowError where the value is first scaled
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"overrides": {"omega": 1' + "0" * 400 + "}}")
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "override 'omega'" in capsys.readouterr().err
+
+    def test_integer_past_float_range_in_grid_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"overrides": {"beta_grid": [0.5, 1' + "0" * 400 + "]}}")
+        code = cli.main(["landauer", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "override 'beta_grid[1]'" in capsys.readouterr().err
+
+    def test_detailed_balance_overflow_is_config_error(self, tmp_path, capsys):
+        # omega's energy spread passes, but the detailed-balance commutators
+        # of system plus unit would overflow: rejected, with no warning,
+        # before any product and before the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {
+            "omega": 8e307, "beta_hot": 0.0, "beta_cold": 0.0, "n_steps": 10,
+            "window": 2}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["two_qubit_local_global", "--config", str(cfg),
+                             "--out", str(tmp_path)])
+        assert caught == []
+        assert code == cli.EXIT_CONFIG
+        assert "'omega'" in capsys.readouterr().err
+
     def test_zero_window_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"overrides": {"window": 0}}))
@@ -506,9 +539,9 @@ UNADDRESSABLE = {
     "total_time": st.just(1e300),
     "tau_grid": st.just(1e-300),
 }
-# huge (up to the float maximum's order) and subnormal finite values, for
-# the reals that set no step count
-EXTREME = st.sampled_from([1e300, -1e300, 1e308, -1e308, 5e-324])
+# huge (up to the float maximum's order) and subnormal finite values, and an
+# integer past the float range, for the reals that set no step count
+EXTREME = st.sampled_from([1e300, -1e300, 1e308, -1e308, 8e307, 5e-324, 10**400])
 
 
 def _grid(entries):
@@ -571,6 +604,12 @@ def cli_configs(draw):
 
 class TestCliFuzz:
     @given(cli_configs())
+    # two cases the derandomized draws need not hold: a two_qubit_local_global
+    # omega whose detailed-balance commutators overflow, and an integer past
+    # the float range
+    @example(("two_qubit_local_global", json.dumps({"overrides": {
+        "omega": 8e307, "beta_hot": 0.0, "beta_cold": 0.0, "n_steps": 10, "window": 2}})))
+    @example(("landauer", '{"overrides": {"omega": 1' + "0" * 400 + "}}"))
     def test_only_documented_exit_codes(self, name_and_text):
         name, text = name_and_text
         with tempfile.TemporaryDirectory() as out:
