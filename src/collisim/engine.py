@@ -37,8 +37,8 @@ Integrity: after every step the windowed backend hermitizes and
 renormalizes its carried state, and the full backend checks its joint
 state.  Accounting checks each step's state after collision and erasure,
 by one Cholesky factorization per block that computes spectra only when
-it fails, and then each reduced state against the entropy code's clamp
-window.  An abort names the first failing step and stack member.
+it fails, and then each reduced state's spectrum against the entropy
+code's clamp window.  An abort names the first failing step and stack member.
 """
 
 from __future__ import annotations
@@ -520,18 +520,18 @@ def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
         raise
     post_s, post_e, pair = (linalg.partial_trace(after, dims, keep)
                             for keep in ([0], [fresh], [0, fresh]))
-    reduced = (pre_s, pre_e, post_s, post_e, pair)
-    base = cfg.log_base
-    try:
-        s_s_pre, s_a_pre, s_s_post, s_a_post, s_pair = (
-            qstate.von_neumann_entropy(x, base) for x in reduced)
-    except ConfigError:
-        low = np.min([np.linalg.eigvalsh(linalg.hermitize(x))[..., 0] for x in reduced],
-                     axis=0)
+    # one eigensolve per reduced state; pre_e's eigenvectors also give D(post_e || pre_e)
+    e_vals, e_vecs = np.linalg.eigh(linalg.hermitize(pre_e))
+    spectra = [qstate._spectrum(x) for x in (pre_s, post_s, post_e, pair)] + [e_vals]
+    low = np.min([vals[..., 0] for vals in spectra], axis=0)
+    if (low < -qstate.EIG_CLAMP).any():
         step, member, index = _first(low < -qstate.EIG_CLAMP, steps)
         raise IntegrityError(f"reduced state broken at step {step}, stack member {member}: "
                              f"eigenvalue {np.ravel(low)[index]:.3g} below the clamp "
-                             "window", step) from None
+                             "window", step)
+    base = cfg.log_base
+    s_s_pre, s_s_post, s_a_post, s_pair, s_a_pre = (qstate._entropy(vals, base)
+                                                     for vals in spectra)
     e_s_pre = _expect(cfg.system_hamiltonian, pre_s)
     e_s_post = _expect(cfg.system_hamiltonian, post_s)
     e_a_pre, e_a_post = _expect(st.hamiltonian, pre_e), _expect(st.hamiltonian, post_e)
@@ -545,7 +545,7 @@ def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
                          (s_s_post - s_s_pre) + st.beta * q / math.log(base), sigma)
     return np.array([e_s_pre, e_s_post, e_a_pre, e_a_post, q, (e_s_post - e_s_pre) + q,
                      s_s_pre, s_s_post, s_a_pre, s_a_post, (s_s_post + s_a_post) - s_pair,
-                     sigma, qstate.relative_entropy(post_e, pre_e, base)])
+                     sigma, qstate._relative_entropy(s_a_post, post_e, e_vals, e_vecs, base)])
 
 
 def _account(cfg: CollisionConfig, maps, keys: np.ndarray,

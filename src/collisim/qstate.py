@@ -13,7 +13,7 @@ The trace distance takes the spectrum of rho - sigma block by block
 along its exact nonzero pattern (``linalg.sector_eigvalsh``): the
 excitation-conserving collisions leave joint states block diagonal, a
 dense difference is one block, and no tolerance is involved.  The
-entropy spectra stay dense; they are small.
+entropy spectra stay dense, one eigensolve per state.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import ConfigError
 EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, 0) are treated as 0
 STATE_TOL = 1e-10       # a valid state's trace error and negative eigenvalues are smaller
 SUPPORT_CUTOFF = 1e-12  # sigma eigenvalues below this count as outside support
-_TINY = np.finfo(float).tiny
 METRICS = ("trace", "jensen-shannon")  # the names ``state_distance`` accepts
 
 
@@ -89,58 +88,65 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _clamped_eigvals(rho: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(linalg.hermitize(np.asarray(rho, dtype=complex)))
-    if (vals[..., 0] < -EIG_CLAMP).any():
-        raise ConfigError(f"eigenvalue {vals[..., 0].min():.3g} below clamp window; "
-                          "broken upstream state")
-    return np.maximum(vals, 0.0)
+def _spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``rho`` or of each member."""
+    return np.linalg.eigvalsh(linalg.hermitize(np.asarray(rho, dtype=complex)))
 
 
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    """p log p elementwise for p >= 0; 0 log 0 = 0 since the log stays finite."""
-    return p * np.log(np.maximum(p, _TINY))
+def _entropy(vals: np.ndarray, base: float) -> np.ndarray:
+    """-sum p log p over a spectrum clamped at 0, in ``base``; 0 log 0 = 0."""
+    p = np.maximum(vals, 0.0)
+    return -(p * np.log(np.maximum(p, np.finfo(float).tiny))).sum(axis=-1) / math.log(base)
+
+
+def _relative_entropy(s_rho, rho, s_vals, s_vecs, base):
+    """-S(rho) - sum_j <s_j|rho|s_j> log s_j from S(rho) = ``s_rho`` in ``base``
+    and sigma's eigendecomposition (s_j, |s_j>); +inf as in ``relative_entropy``."""
+    weight = np.sum(s_vecs.conj() * (rho @ s_vecs), axis=-2).real  # <s_j|rho|s_j>
+    inside = s_vals >= SUPPORT_CUTOFF
+    leak = np.where(inside, 0.0, weight).sum(axis=-1)
+    log_s = np.where(inside, np.log(np.maximum(s_vals, SUPPORT_CUTOFF)), 0.0)
+    return np.where(leak > 1e-10, math.inf,
+                    -s_rho - (weight * log_s).sum(axis=-1) / math.log(base))
+
+
+def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> None:
+    if rho.shape != sigma.shape:
+        raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """-Tr rho log rho with 0 log 0 = 0."""
-    return _value(-_xlogx(_clamped_eigvals(rho)).sum(axis=-1) / np.log(base))
+    vals = _spectrum(rho)
+    if (vals[..., 0] < -EIG_CLAMP).any():
+        raise ConfigError(f"eigenvalue {vals[..., 0].min():.3g} below clamp window; "
+                          "broken upstream state")
+    return _value(_entropy(vals, base))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray):
     """(1/2) Tr |rho - sigma|."""
-    if rho.shape != sigma.shape:
-        raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
+    _check_pair(rho, sigma)
     diff = linalg.hermitize(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
     vals = linalg.sector_eigvalsh(diff)
     return _value(0.5 * np.abs(vals).sum(axis=-1))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
-    """Tr rho (log rho - log sigma); +inf when rho leaks out of sigma's support."""
-    if rho.shape != sigma.shape:
-        raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    r_vals, r_vecs = linalg.herm_eig(linalg.hermitize(np.asarray(rho, dtype=complex)))
-    s_vals, s_vecs = linalg.herm_eig(linalg.hermitize(np.asarray(sigma, dtype=complex)))
-    r_vals = np.maximum(r_vals, 0.0)
-    overlap = np.abs(linalg.dagger(r_vecs) @ s_vecs) ** 2  # (i, j) -> |<r_i|s_j>|^2
-    weight = (r_vals[..., None, :] @ overlap)[..., 0, :]  # rho's weight on each s_j
-    inside = s_vals >= SUPPORT_CUTOFF
-    leak = np.where(inside, 0.0, weight).sum(axis=-1)
-    log_s = np.where(inside, np.log(np.maximum(s_vals, SUPPORT_CUTOFF)), 0.0)
-    rel = (_xlogx(r_vals).sum(axis=-1) - (weight * log_s).sum(axis=-1)) / math.log(base)
-    return _value(np.where(leak > 1e-10, math.inf, rel))
+    """-S(rho) - Tr rho log sigma from rho's spectrum and sigma's eigenvectors; +inf
+    when rho puts weight above 1e-10 on those below ``SUPPORT_CUTOFF``."""
+    _check_pair(rho, sigma)
+    s_vals, s_vecs = linalg.herm_eig(linalg.hermitize(sigma))
+    return _value(_relative_entropy(_entropy(_spectrum(rho), base), rho, s_vals, s_vecs, base))
 
 
 def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
-    """Square root of the Jensen-Shannon divergence.
-
-    (1/sqrt 2) [S(rho||m) + S(sigma||m)]^(1/2) with m the equal mixture;
-    always finite since m dominates both supports.  In [0, 1] for base 2.
-    """
-    mid = (np.asarray(rho, dtype=complex) + np.asarray(sigma, dtype=complex)) / 2
-    div = relative_entropy(rho, mid, base) + relative_entropy(sigma, mid, base)
-    return _value(np.sqrt(np.maximum(div, 0.0) / 2.0))
+    """Square root of the Jensen-Shannon divergence S(m) - S(rho)/2 - S(sigma)/2,
+    m the equal mixture: three spectra, always finite, in [0, 1] for base 2."""
+    _check_pair(rho, sigma)
+    s_mid, s_rho, s_sigma = (_entropy(_spectrum(x), base)
+                             for x in ((rho + sigma) / 2, rho, sigma))
+    return _value(np.sqrt(np.maximum(s_mid - s_rho / 2 - s_sigma / 2, 0.0)))
 
 
 def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",

@@ -25,24 +25,17 @@ STEADY_DRIFT = 1e-8  # a drift (of fluxes or of snapshots) below this is a stead
 
 @dataclass
 class DetailedBalanceReport:
-    local_db: float               # ||[H_S + H_E, V]||; zero iff local detailed balance
-    inverted_db: float            # ||[H_S - H_E, V]||; zero for the battery interaction
-    global_db: float | None = None  # ||[H_I, V]|| when an intersystem H_I is supplied
+    local_db: float     # ||[H_S + H_E, V]||; zero iff local detailed balance
+    inverted_db: float  # ||[H_S - H_E, V]||; zero for the battery interaction
 
 
-def detailed_balance_report(h_s: np.ndarray, h_anc: np.ndarray, v: np.ndarray,
-                            h_int: np.ndarray | None = None) -> DetailedBalanceReport:
-    """Commutator diagnostics for local/inverted/global detailed balance."""
-    d_s, d_a = h_s.shape[0], h_anc.shape[0]
-    plus = linalg.kron(h_s, np.eye(d_a)) + linalg.kron(np.eye(d_s), h_anc)
-    minus = linalg.kron(h_s, np.eye(d_a)) - linalg.kron(np.eye(d_s), h_anc)
-    glob = None
-    if h_int is not None:
-        glob = linalg.commutator_norm(linalg.kron(h_int, np.eye(d_a)), v)
-    return DetailedBalanceReport(
-        local_db=linalg.commutator_norm(plus, v),
-        inverted_db=linalg.commutator_norm(minus, v),
-        global_db=glob)
+def detailed_balance_report(h_s: np.ndarray, h_anc: np.ndarray,
+                            v: np.ndarray) -> DetailedBalanceReport:
+    """Commutator diagnostics for local and inverted detailed balance."""
+    local_s = linalg.kron(h_s, np.eye(h_anc.shape[0]))
+    local_e = linalg.kron(np.eye(h_s.shape[0]), h_anc)
+    return DetailedBalanceReport(local_db=linalg.commutator_norm(local_s + local_e, v),
+                                 inverted_db=linalg.commutator_norm(local_s - local_e, v))
 
 
 @dataclass

@@ -517,6 +517,20 @@ class TestLedger:
         assert len(ledger) == len(engine.LEDGER_FIELDS)
         assert all(v.shape == (8, 3) for v in ledger)
 
+    def test_one_eigensolve_per_reduced_state(self, monkeypatch):
+        # the system and the unit before and after the collision, and their
+        # pair: five spectra; the unit's eigenvectors before it give D_env_relent
+        cfg = qubit_config(n_steps=8)
+        keys = engine._step_keys(cfg)
+        maps = engine._maps(cfg, [collision_unitary(cfg, 0)], keys)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, solve=solve: calls.append(a.shape) or solve(a))
+        engine._block_ledger(cfg, maps, 0, carried_states()[:8], np.arange(8))
+        assert sorted(calls) == [(8, 3, 2, 2)] * 4 + [(8, 3, 4, 4)]
+
 
 class TestStepMaps:
     """The maps of each key, applied to a carried stack, give what

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collisim import linalg, qstate
 from collisim.engine import (AncillaStream, CollisionConfig, partial_swap_interaction,
@@ -146,6 +148,90 @@ class TestRelativeEntropy:
         for _ in range(20):
             a, b = random_density_matrix(rng, 3), random_density_matrix(rng, 3)
             assert qstate.relative_entropy(a, b) >= -1e-10
+
+
+def reference_relative_entropy(rho, sigma, base=2.0):
+    """The overlap-matrix form: both eigendecompositions, rho's weight
+    sum_i r_i |<r_i|s_j>|^2 on each eigenvector of sigma."""
+    r_vals, r_vecs = np.linalg.eigh(linalg.hermitize(rho))
+    s_vals, s_vecs = np.linalg.eigh(linalg.hermitize(sigma))
+    r_vals = np.maximum(r_vals, 0.0)
+    overlap = np.abs(linalg.dagger(r_vecs) @ s_vecs) ** 2
+    weight = (r_vals[..., None, :] @ overlap)[..., 0, :]
+    inside = s_vals >= qstate.SUPPORT_CUTOFF
+    leak = np.where(inside, 0.0, weight).sum(axis=-1)
+    log_s = np.where(inside, np.log(np.maximum(s_vals, qstate.SUPPORT_CUTOFF)), 0.0)
+    xlogx = r_vals * np.log(np.maximum(r_vals, np.finfo(float).tiny))
+    rel = (xlogx.sum(axis=-1) - (weight * log_s).sum(axis=-1)) / math.log(base)
+    return np.where(leak > 1e-10, math.inf, rel)
+
+
+def reference_js_distance(rho, sigma, base=2.0):
+    """sqrt([D(rho||m) + D(sigma||m)] / 2) with m the equal mixture."""
+    mid = (rho + sigma) / 2
+    div = reference_relative_entropy(rho, mid, base) + reference_relative_entropy(sigma, mid, base)
+    return np.sqrt(np.maximum(div, 0.0) / 2.0)
+
+
+def mixed_on(rng, dim, rank):
+    """A random state of ``rank`` on a random ``rank``-dim subspace, and
+    the projector onto that subspace."""
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    a = basis[:, :rank] @ (rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real, basis[:, :rank] @ basis[:, :rank].conj().T
+
+
+@st.composite
+def state_pairs(draw):
+    """(rho, sigma) of one kind, single or stacked, dims 1-4: both full rank;
+    rank-deficient sigma and rho inside its support (rho of any rank); or rho
+    leaking out of a rank-deficient sigma's support."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full rank", "rank-deficient", "leaking"]))
+    stack = draw(st.none() | st.integers(1, 3))
+
+    def pair():
+        if kind == "full rank" or dim == 1:
+            return random_density_matrix(rng, dim), random_density_matrix(rng, dim)
+        sigma, support = mixed_on(rng, dim, int(rng.integers(1, dim)))
+        if kind == "leaking":
+            return random_density_matrix(rng, dim), sigma
+        inner = mixed_on(rng, dim, dim)[0]
+        if rng.random() < 0.5:  # rank-deficient rho too
+            inner = mixed_on(rng, dim, int(rng.integers(1, dim)))[0]
+        rho = support @ inner @ support
+        return rho / np.trace(rho).real, sigma
+
+    pairs = [pair() for _ in range(stack or 1)]
+    rho, sigma = (np.array([p[i] for p in pairs]) for i in range(2))
+    return (rho, sigma) if stack else (rho[0], sigma[0])
+
+
+class TestAgainstOverlapForms:
+    """Each state diagonalized once gives the overlap-matrix forms' values."""
+
+    @given(state_pairs(), st.sampled_from([2.0, math.e]))
+    def test_relative_entropy(self, pair, base):
+        rho, sigma = pair
+        for a, b in ((rho, sigma), (sigma, rho)):
+            got, want = qstate.relative_entropy(a, b, base), reference_relative_entropy(a, b, base)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.allclose(np.asarray(got)[finite], want[finite], rtol=0, atol=1e-12)
+
+    @given(state_pairs(), st.sampled_from([2.0, math.e]))
+    def test_js_distance(self, pair, base):
+        rho, sigma = pair
+        got, want = qstate.js_distance(rho, sigma, base), reference_js_distance(rho, sigma, base)
+        assert np.shape(got) == np.shape(want) and np.all(np.isfinite(got))
+        # the divergences agree; their square roots too, away from 0, where
+        # the root amplifies rounding (equal states give about 1e-8)
+        assert np.allclose(np.square(got), np.square(want), rtol=0, atol=1e-12)
+        apart = want > 1e-3
+        assert np.allclose(np.asarray(got)[apart], want[apart], rtol=0, atol=1e-12)
 
 
 class TestJsDistance:
