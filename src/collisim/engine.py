@@ -277,7 +277,6 @@ class TrajectoryStack:
     joint snapshot is a (B, D, D) stack.
     """
     config: CollisionConfig
-    inits: np.ndarray                                # (B, d_S, d_S)
     ledger: dict[str, np.ndarray]
     snapshots: np.ndarray
     joint_snapshots: list[np.ndarray] | None = None  # full backend
@@ -285,7 +284,7 @@ class TrajectoryStack:
     def member(self, b: int) -> Trajectory:
         """The trajectory of stack member ``b``: slices of the stack's arrays."""
         return Trajectory(
-            config=replace(self.config, system_init=self.inits[b]),
+            config=replace(self.config, system_init=self.snapshots[0, b]),
             ledger={name: column[:, b] for name, column in self.ledger.items()},
             snapshots=self.snapshots[:, b],
             joint_snapshots=None if self.joint_snapshots is None
@@ -315,29 +314,6 @@ def erase_correlations(joint: np.ndarray, dims: list[int], lam: float) -> np.nda
     rho_a = linalg.partial_trace(joint, dims, range(n - 1))
     rho_b = linalg.partial_trace(joint, dims, [n - 1])
     return lam * joint + (1.0 - lam) * linalg.kron(rho_a, rho_b)
-
-
-def apply_aa_collision(joint: np.ndarray, dims: list[int], targets: list[int],
-                       p: float, mode: str, theta: float = math.pi / 2,
-                       coin: float | None = None) -> np.ndarray:
-    """Stochastic (partial) SWAP between two ancilla factors.
-
-    Incoherent mode applies the swap unitary when ``coin`` < p; coherent
-    mode applies the mixing channel p S rho S† + (1-p) rho deterministically.
-    """
-    if mode == "off" or p == 0.0:
-        return joint
-    if mode not in AA_MODES:
-        raise ConfigError(f"unknown aa mode {mode!r}")
-    d = dims[targets[0]]
-    if dims[targets[1]] != d:
-        raise ConfigError("ancilla-ancilla collision needs equal dims")
-    u = partial_swap_unitary(d, theta)
-    if mode == "incoherent":
-        if coin is None:
-            raise ConfigError("incoherent aa collision needs a coin")
-        return linalg.conjugate(u, joint, dims, targets) if coin < p else joint
-    return p * linalg.conjugate(u, joint, dims, targets) + (1.0 - p) * joint
 
 
 def system_channel(cfg: CollisionConfig, stream: int = 0):
@@ -418,15 +394,19 @@ def _carried_dims(cfg: CollisionConfig) -> list[int]:
 def _collide(cfg: CollisionConfig, unitaries, state, dims: list[int], key: int):
     """A step of map ``key`` on ``state`` with factors ``dims``: append the
     fresh unit, collide it with the last unit if the key says so, then with
-    the system.  Returns the state before and after the system-unit
+    the system.  An incoherent unit-unit collision, whose coin ``_step_keys``
+    drew, is the partial swap; a coherent one mixes it in with weight
+    ``aa_swap_prob``.  Returns the state before and after the system-unit
     collision and its factors; linear in ``state``, a stack of any shape."""
     si = key % len(cfg.streams)
     before = linalg.kron(state, cfg.streams[si].init_state)
     dims = dims + [cfg.streams[si].dim]
     fresh = len(dims) - 1
     if key >= len(cfg.streams):
-        before = apply_aa_collision(before, dims, [fresh - 1, fresh], cfg.aa_swap_prob,
-                                    cfg.aa_mode, cfg.aa_theta, coin=0.0)
+        p = cfg.aa_swap_prob
+        swapped = linalg.conjugate(partial_swap_unitary(dims[fresh], cfg.aa_theta), before,
+                                   dims, [fresh - 1, fresh])
+        before = swapped if cfg.aa_mode == "incoherent" else p * swapped + (1.0 - p) * before
     return before, linalg.conjugate(unitaries[si], before, dims, [0, fresh]), dims
 
 
@@ -511,13 +491,7 @@ def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
     fresh = len(dims) - 1
     pre_s = linalg.partial_trace(carried, dims[:-1], [0])
     pre_e, after = _apply(pre_e_map, carried), _apply(after_map, carried)
-    try:
-        after = _integrity(erase_correlations(after, dims, cfg.erasure_lambda), steps)
-    except IntegrityError as exc:
-        earlier = steps < exc.step  # a reduced state may have failed there
-        if earlier.any():
-            _block_ledger(cfg, maps, key, carried[earlier], steps[earlier])
-        raise
+    after = _integrity(erase_correlations(after, dims, cfg.erasure_lambda), steps)
     post_s, post_e, pair = (linalg.partial_trace(after, dims, keep)
                             for keep in ([0], [fresh], [0, fresh]))
     # one eigensolve per reduced state; pre_e's eigenvectors also give D(post_e || pre_e)
@@ -555,20 +529,20 @@ def _account(cfg: CollisionConfig, maps, keys: np.ndarray,
 
     Steps are accounted in blocks of about ``LEDGER_BLOCK`` states (steps
     times stack members), the steps of one map together, so the rebuilt
-    states take bounded memory.  An abort names the first failing step.
+    states take bounded memory.  An abort at step s accounts the steps
+    before s first, so the abort that names the first failing step wins.
     """
     ledger = np.empty((len(LEDGER_FIELDS), len(keys), carried.shape[1]))
     size = max(1, LEDGER_BLOCK // carried.shape[1])
     for start in range(0, len(keys), size):
-        block, failures = np.arange(start, min(start + size, len(keys))), []
+        block = np.arange(start, min(start + size, len(keys)))
         for key in np.unique(keys[block]).tolist():
             steps = block[keys[block] == key]
             try:
                 ledger[:, steps] = _block_ledger(cfg, maps, key, carried[steps], steps)
             except IntegrityError as exc:
-                failures.append(exc)
-        if failures:
-            raise min(failures, key=lambda exc: exc.step)
+                _account(cfg, maps, keys[:exc.step], carried[:exc.step])
+                raise
     return ledger
 
 
@@ -594,7 +568,7 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
         snapshots = linalg.partial_trace(carried, dims, [0])
         snapshots[0] = inits
     ledger = _account(cfg, maps, keys, carried)
-    return TrajectoryStack(config=cfg, inits=inits, ledger=dict(zip(LEDGER_FIELDS, ledger)),
+    return TrajectoryStack(config=cfg, ledger=dict(zip(LEDGER_FIELDS, ledger)),
                            snapshots=snapshots, joint_snapshots=joints)
 
 

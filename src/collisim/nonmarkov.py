@@ -17,12 +17,12 @@ all pairs of the row from one stacked distance series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, qstate
-from .engine import CollisionConfig, Trajectory, run_paired, run_stack
+from .engine import CollisionConfig, Trajectory, run_stack
 from .errors import ConfigError
 
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
@@ -59,9 +59,12 @@ def antipodal_pair(theta: float, phi: float):
             qstate.bloch_state(math.pi - theta, phi + math.pi))
 
 
-def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
+def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
                        grid_resolution: int = 12):
     """Maximize the BLP sum over antipodal pure-state pairs on a Bloch grid.
+
+    Pairs are scored in ``cfg.pair_metric``; a ``metric`` given as well
+    must name the same one.
 
     The grid is uniform in (cos theta, phi) to avoid pole clustering;
     resolution 1 degenerates to exactly the (|0>, |1>) pair.  Each row of
@@ -72,6 +75,9 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
     """
     if cfg.system_dim != 2:
         raise ConfigError("BLP pair optimization supports qubit systems only")
+    if metric not in (None, cfg.pair_metric):
+        raise ConfigError(f"metric {metric!r} disagrees with the configuration's "
+                          f"pair_metric {cfg.pair_metric!r}")
     if grid_resolution == 1:
         u_vals, phi_vals = [1.0], [0.0]
     else:
@@ -83,7 +89,7 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str = "trace",
         stack = run_stack(cfg, [a for a, _ in pairs] + [b for _, b in pairs])
         half = len(pairs)
         series = qstate.state_distance(stack.snapshots[:, :half], stack.snapshots[:, half:],
-                                       metric, cfg.log_base)
+                                       cfg.pair_metric, cfg.log_base)
         for pair, val in zip(pairs, blp_measure(series).tolist()):
             if val > best:
                 best, best_pair = val, pair
@@ -124,13 +130,6 @@ def bound_terms(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
                 joint, linalg.kron(linalg.partial_trace(joint, dims, [0]), env),
                 metric, base)
     return terms
-
-
-def precursor_series(cfg: CollisionConfig, init_a, init_b):
-    """The three right-hand-side terms of the bound at every collision index
-    of a full-backend pair: (env_term, corr_rho, corr_sigma), each n_steps + 1 long."""
-    terms = bound_terms(*run_paired(replace(cfg, backend="full"), init_a, init_b))
-    return terms[:, 0], terms[:, 1], terms[:, 2]
 
 
 def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory) -> list[BoundReport]:

@@ -158,6 +158,16 @@ NONMARKOV_DEFAULTS = {
 
 
 def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
+    for i, mode in enumerate(p["modes"]):
+        if mode not in ("coherent", "incoherent"):
+            raise ConfigError(f"parameter 'modes[{i}]' must be 'coherent' or 'incoherent', "
+                              f"got {mode!r}")
+    for i, prob in enumerate(p["p_grid"]):
+        if not 0.0 <= prob <= 1.0:
+            raise ConfigError(f"parameter 'p_grid[{i}]' must lie in [0, 1], got {prob!r}")
+    if p["metric"] not in qstate.METRICS:
+        raise ConfigError(f"parameter 'metric' must be one of {qstate.METRICS}, "
+                          f"got {p['metric']!r}")
     sweep, done = [], {}
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collisim import engine, linalg, nonmarkov, qstate, scenarios
-from collisim.engine import (AncillaStream, CollisionConfig, apply_aa_collision,
-                             collision_unitary, erase_correlations,
-                             partial_swap_interaction, partial_swap_unitary, run,
-                             run_paired, run_stack, swap_unitary, system_channel)
+from collisim.engine import (AncillaStream, CollisionConfig, collision_unitary,
+                             erase_correlations, partial_swap_interaction,
+                             partial_swap_unitary, run, run_paired, run_stack,
+                             swap_unitary, system_channel)
 from collisim.errors import ConfigError, IntegrityError
 from conftest import mutual_information, random_density_matrix, random_hermitian
 
@@ -275,31 +275,45 @@ class TestEraseCorrelations:
         qstate.validate_density_matrix(out)
 
 
-class TestAaCollision:
-    def make_joint(self):
-        rng = np.random.default_rng(2)
-        return linalg.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+class TestUnitUnitCollision:
+    """The unit-unit collision of the engine's own step, on a carried
+    system-unit qubit pair: map 1 collides the fresh unit with the carried
+    one before the system-unit collision, map 0 does not."""
 
-    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
-    def test_p_zero_is_identity(self, mode):
-        joint = self.make_joint()
-        out = apply_aa_collision(joint, [2, 2], [0, 1], 0.0, mode, coin=0.3)
-        assert np.array_equal(out, joint)
+    @staticmethod
+    def steps(mode, p):
+        """The states before and after the system-unit collision, under
+        maps 0 and 1, and those two maps."""
+        cfg = qubit_config(theta=0.8, n_steps=4, aa_mode=mode, aa_swap_prob=p, rng_seed=1)
+        unitaries = [collision_unitary(cfg, 0)]
+        carried = random_stack(np.random.default_rng(2), n=3, dim=4)
+        states = [engine._collide(cfg, unitaries, carried, [2, 2], key)[:2] for key in (0, 1)]
+        return states, engine._maps(cfg, unitaries, np.array([0, 1]))
 
-    def test_p_one_modes_coincide(self):
-        joint = self.make_joint()
-        a = apply_aa_collision(joint, [2, 2], [0, 1], 1.0, "coherent")
-        b = apply_aa_collision(joint, [2, 2], [0, 1], 1.0, "incoherent", coin=0.5)
-        s = swap_unitary(2)
-        assert np.allclose(a, s @ joint @ s.conj().T, atol=1e-13)
-        assert np.allclose(a, b, atol=1e-13)
+    @staticmethod
+    def swapped(joint):
+        """``joint`` with its two units swapped."""
+        s = linalg.kron(I2, swap_unitary(2))
+        return s @ joint @ s.conj().T
 
-    def test_half_probability_coherent_mixture(self):
-        joint = self.make_joint()
-        out = apply_aa_collision(joint, [2, 2], [0, 1], 0.5, "coherent")
-        s = swap_unitary(2)
-        expected = 0.5 * (s @ joint @ s.conj().T) + 0.5 * joint
-        assert np.allclose(out, expected, atol=1e-13)
+    def test_coherent_p_zero_is_identity(self):
+        (plain, mixed), maps = self.steps("coherent", 0.0)
+        for a, b in zip(plain, mixed):
+            assert np.array_equal(a, b)
+        assert np.array_equal(maps[0][0], maps[1][0])
+        assert np.array_equal(maps[0][1], maps[1][1])
+
+    def test_coherent_p_one_is_an_acting_incoherent_step(self):
+        (plain, coherent), _ = self.steps("coherent", 1.0)
+        (_, incoherent), _ = self.steps("incoherent", 0.5)
+        assert np.max(np.abs(coherent[0] - self.swapped(plain[0]))) <= 1e-13
+        for a, b in zip(coherent, incoherent):
+            assert np.max(np.abs(a - b)) <= 1e-13
+
+    def test_coherent_half_is_the_exact_mixture(self):
+        (plain, mixed), _ = self.steps("coherent", 0.5)
+        expected = 0.5 * self.swapped(plain[0]) + 0.5 * plain[0]
+        assert np.max(np.abs(mixed[0] - expected)) <= 1e-13
 
 
 class TestRunPaired:
@@ -425,12 +439,7 @@ class TestConfigValidation:
             linalg.kron(SX, SX) - linalg.kron(SY, SY)]), 0),  # entries 2e308
          "collision Hamiltonian of stream 0 overflows: coupling 1e+308"),
         (lambda: partial_swap_unitary(1, 0.3), "partial swap needs dim >= 2"),
-        (lambda: apply_aa_collision(np.eye(4) / 4, [2, 2], [0, 1], 0.5, "sometimes"),
-         "unknown aa mode 'sometimes'"),
-        (lambda: apply_aa_collision(np.eye(6) / 6, [2, 3], [0, 1], 0.5, "coherent"),
-         "needs equal dims"),
-        (lambda: apply_aa_collision(np.eye(4) / 4, [2, 2], [0, 1], 0.5, "incoherent"),
-         "needs a coin"),
+        (lambda: qubit_config(aa_mode="sometimes").validate(), "aa_mode must be one of"),
         (lambda: erase_correlations(np.eye(4) / 4, [2, 2], 1.5), "erasure lambda must lie"),
     ])
     def test_rejection_names_its_cause(self, reject, fragment):
@@ -614,6 +623,45 @@ class TestDeferredAccounting:
         carried[2, 1] = early
         with pytest.raises(IntegrityError, match="step 2, stack member 1"):
             account(two_stream_config(), carried)
+
+
+MEMBERS = 32
+BLOCK_STEPS = engine.LEDGER_BLOCK // MEMBERS  # steps in one accounting block
+
+
+class TestAbortAcrossBlocks:
+    """The first failing step wins across a ``LEDGER_BLOCK`` boundary: the
+    run has two blocks of steps, and every failure sits in the second."""
+
+    @staticmethod
+    def config():
+        return replace(two_stream_config(), n_steps=BLOCK_STEPS + 4)
+
+    @pytest.mark.parametrize("state", [BROKEN, CLAMPED])
+    def test_only_failure_in_second_block(self, state):
+        step = BLOCK_STEPS + 2
+        carried = carried_states(n_steps=step + 2, members=MEMBERS)
+        carried[step, 5] = state
+        with pytest.raises(IntegrityError, match=f"step {step}, stack member 5"):
+            account(self.config(), carried)
+
+    # with an even BLOCK_STEPS the late step is stream 0's, whose map its
+    # block accounts first; the early step is of the same stream or the other
+    @pytest.mark.parametrize("early_step", [BLOCK_STEPS, BLOCK_STEPS + 1])
+    @pytest.mark.parametrize("early,late", [(CLAMPED, BROKEN), (BROKEN, CLAMPED)])
+    def test_first_failing_step_wins(self, early, late, early_step):
+        carried = carried_states(n_steps=BLOCK_STEPS + 4, members=MEMBERS)
+        carried[early_step, 3], carried[BLOCK_STEPS + 2, 7] = early, late
+        with pytest.raises(IntegrityError, match=f"step {early_step}, stack member 3"):
+            account(self.config(), carried)
+
+    @pytest.mark.parametrize("early_step", [BLOCK_STEPS, BLOCK_STEPS + 1])
+    @pytest.mark.parametrize("early,late", [(CLAMPED, BROKEN), (BROKEN, CLAMPED)])
+    def test_through_run_stack(self, monkeypatch, early, late, early_step):
+        plant(monkeypatch, BLOCK_STEPS + 2, 7, late)
+        plant(monkeypatch, early_step, 3, early)
+        with pytest.raises(IntegrityError, match=f"step {early_step}, stack member 3"):
+            run_stack(self.config(), random_stack(np.random.default_rng(5), n=MEMBERS))
 
 
 def random_stack(rng, n=5, dim=2):

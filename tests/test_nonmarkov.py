@@ -124,9 +124,8 @@ class TestPairOptimization:
             nonmarkov.blp_optimize_pairs(cfg)
 
 
-def reference_pair_scan(cfg, metric, resolution):
+def reference_pair_scan(cfg, resolution):
     """Best BLP sum of the grid scan, as an explicit loop of paired runs."""
-    cfg = replace(cfg, pair_metric=metric)
     return max(paired_blp(cfg, nonmarkov.antipodal_pair(math.acos(u), phi))
                for u in np.linspace(1.0, 0.0, resolution)
                for phi in np.linspace(0.0, 2 * math.pi, 2 * resolution, endpoint=False))
@@ -144,14 +143,25 @@ class TestStackedPairScan:
     @pytest.mark.parametrize("metric", ["trace", "jensen-shannon"])
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     def test_matches_loop_of_paired_runs(self, mode, metric, resolution):
-        cfg = qubit_config(n_steps=10, aa_mode=mode, aa_swap_prob=0.5, rng_seed=3)
-        pair, value = nonmarkov.blp_optimize_pairs(cfg, metric, resolution)
-        expected = reference_pair_scan(cfg, metric, resolution)
+        cfg = qubit_config(n_steps=10, aa_mode=mode, aa_swap_prob=0.5, rng_seed=3,
+                           pair_metric=metric)
+        pair, value = nonmarkov.blp_optimize_pairs(cfg, grid_resolution=resolution)
+        expected = reference_pair_scan(cfg, resolution)
         assert value > 0.01
         assert value == pytest.approx(expected, abs=1e-12)
         # ties within rounding may pick another pair, but it attains the value
-        assert paired_blp(replace(cfg, pair_metric=metric), pair) == \
-            pytest.approx(value, abs=1e-12)
+        assert paired_blp(cfg, pair) == pytest.approx(value, abs=1e-12)
+
+    def test_scores_in_the_configured_metric(self):
+        cfg = qubit_config(n_steps=10, aa_mode="incoherent", aa_swap_prob=0.5, rng_seed=3,
+                           pair_metric="jensen-shannon")
+        _, value = nonmarkov.blp_optimize_pairs(cfg, grid_resolution=3)
+        _, trace = nonmarkov.blp_optimize_pairs(replace(cfg, pair_metric="trace"), "trace", 3)
+        assert value == nonmarkov.blp_optimize_pairs(cfg, "jensen-shannon", 3)[1]
+        assert abs(value - trace) > 1e-3
+        with pytest.raises(ConfigError, match="metric 'trace' disagrees with the "
+                           "configuration's pair_metric 'jensen-shannon'"):
+            nonmarkov.blp_optimize_pairs(cfg, "trace", 3)
 
 
 def oracle_pair(cfg):
@@ -233,9 +243,11 @@ class TestBoundReports:
 
 
 class TestPrecursorSeries:
+    """The bound's three terms of a pair along its run, before any revival."""
+
     def test_uncoupled_is_flat_zero(self):
         cfg = replace(qubit_config(n_steps=5), coupling=0.0)
-        env, c_a, c_b = nonmarkov.precursor_series(cfg, EXCITED, GROUND)
+        env, c_a, c_b = nonmarkov.bound_terms(*oracle_pair(cfg)).T
         assert np.max(env) < 1e-12
         assert np.max(c_a) < 1e-12
         assert np.max(c_b) < 1e-12
@@ -243,7 +255,7 @@ class TestPrecursorSeries:
     def test_markovian_correlations_without_backflow(self):
         # correlations and environment changes build up, but no revival follows
         cfg = qubit_config(n_steps=6)
-        env, c_a, c_b = nonmarkov.precursor_series(cfg, EXCITED, GROUND)
+        env, c_a, c_b = nonmarkov.bound_terms(*oracle_pair(cfg)).T
         assert env.max() > 1e-3
         ta, tb = run_paired(cfg, EXCITED, GROUND)
         series = nonmarkov.distinguishability_series(ta, tb)
@@ -251,7 +263,7 @@ class TestPrecursorSeries:
 
     def test_precursors_precede_the_revival(self):
         cfg = qubit_config(n_steps=9, aa_mode="coherent", aa_swap_prob=1.0)
-        env, c_a, c_b = nonmarkov.precursor_series(cfg, EXCITED, GROUND)
+        env, c_a, c_b = nonmarkov.bound_terms(*oracle_pair(cfg)).T
         ta, tb = run_paired(cfg, EXCITED, GROUND)
         s = nonmarkov.first_revival_step(nonmarkov.distinguishability_series(ta, tb))
         assert s is not None and s >= 1

@@ -313,7 +313,8 @@ class TestCli:
         cfg.write_text(json.dumps({"overrides": {"metric": "js"}}))
         code = cli.main(["nonmarkov_sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
-        assert "unknown pair_metric 'js'" in capsys.readouterr().err
+        assert "parameter 'metric' must be one of ('trace', 'jensen-shannon'), got 'js'" \
+            in capsys.readouterr().err
         assert built == []
 
     def test_each_distinct_landauer_beta_runs_once(self, monkeypatch, landauer_result):
@@ -424,6 +425,11 @@ class TestCli:
         # at the default step count, not at write time as a violated entropy chain
         ("thermalization", {"omega": 1e308},
          "energy spread 1e+308 over 2000 collisions overflows"),
+        # the sweep's own list keys, named before any run: "off" is no memory mode
+        ("nonmarkov_sweep", {"modes": ["off"]}, "'modes[0]' must be 'coherent' or"),
+        ("nonmarkov_sweep", {"modes": ["foo"]}, "'modes[0]' must be 'coherent' or"),
+        ("nonmarkov_sweep", {"p_grid": [-0.5]}, "'p_grid[0]' must lie in [0, 1]"),
+        ("nonmarkov_sweep", {"metric": "js"}, "'metric' must be one of"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
