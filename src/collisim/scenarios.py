@@ -5,11 +5,12 @@ dissipative battery charging, local-vs-global two-qubit transport,
 Landauer accounting, continuous-time limit) to a runnable configuration.
 Defaults live here in code; a config document supplies overrides only and
 unknown keys are hard errors.  ``run_scenario`` is the one runner: it
-merges and type-checks the overrides, calls the scenario with the merged
-parameters, and echoes the parameters, seed and log base at the head of
-the summary, so emitted files are self-describing.  A scenario function
-computes only its own findings and returns them with its representative
-trajectory.
+merges the overrides, checking the type of each and its range in ``RANGES``
+before any run, calls the scenario with the merged parameters, and echoes
+the parameters, seed and log base at the head of the summary, so emitted
+files are self-describing.  A scenario function checks only the limits
+that join a parameter with others, computes only its own findings and
+returns them with its representative trajectory.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class ScenarioResult:
 
 
 def _merge(defaults: dict, overrides: dict, name: str) -> dict:
-    """The defaults updated by type-checked overrides; grids become lists."""
+    """The defaults updated by type- and range-checked overrides; grids become lists."""
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(
@@ -68,14 +69,28 @@ def _merge(defaults: dict, overrides: dict, name: str) -> dict:
 _KINDS = {tuple: ((list, tuple), "a non-empty list"), str: (str, "a string"),
           int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and >= 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "be positive and finite")
+# the range of a parameter, by name, as a test of one value and the words that
+# complete "must"; the range of a grid holds for each of its entries
+RANGES = {
+    **dict.fromkeys(["beta", "beta_hot", "beta_cold", "beta_grid", "gamma"], _NON_NEGATIVE),
+    **dict.fromkeys(["tau", "tau_grid", "total_time"], _POSITIVE),
+    "p_grid": (lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+    "modes": (lambda v: v in ("coherent", "incoherent"), "be 'coherent' or 'incoherent'"),
+    "metric": (lambda v: v in qstate.METRICS, f"be one of {qstate.METRICS}"),
+    "window": (lambda v: v >= 1, "be >= 1"),
+}
 
-def _check_override(name: str, key: str, value, default) -> None:
-    """Reject an override whose type differs from its default's.
+
+def _check_override(name: str, key: str, value, default, rng=None) -> None:
+    """Reject an override whose type differs from its default's, or whose
+    value lies outside the range ``rng``, by default that of ``key`` in ``RANGES``.
 
     A bool is never a number, a grid is never empty, a real number must
     convert to a float (an integer past the float range does not), and each
-    entry of a list must match the default's first entry.  Ranges are
-    checked where values are used.
+    entry of a list must match the default's first entry and lie in the
+    list's range.
     """
     accepted, kind = _KINDS[type(default)]
     if not isinstance(value, accepted) or isinstance(value, bool) \
@@ -91,7 +106,9 @@ def _check_override(name: str, key: str, value, default) -> None:
                               f"bits") from None
     if isinstance(default, tuple):
         for i, entry in enumerate(value):
-            _check_override(name, f"{key}[{i}]", entry, default[0])
+            _check_override(name, f"{key}[{i}]", entry, default[0], RANGES.get(key))
+    elif (rng := rng or RANGES.get(key)) and not rng[0](value):
+        raise ConfigError(f"parameter {key!r} must {rng[1]}, got {value!r}")
 
 
 def _scaled(p: dict, key: str, op: np.ndarray) -> np.ndarray:
@@ -104,23 +121,17 @@ def _scaled(p: dict, key: str, op: np.ndarray) -> np.ndarray:
     return p[key] * op
 
 
-def _thermal_stream(h: np.ndarray, beta: float, key: str,
-                    role: str = "resource") -> AncillaStream:
-    """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``,
-    the value of parameter ``key``."""
-    if not 0 <= beta < math.inf:
-        raise ConfigError(f"parameter {key!r} must be finite and >= 0, got {beta!r}")
+def _thermal_stream(h: np.ndarray, beta: float, role: str = "resource") -> AncillaStream:
+    """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``."""
     return AncillaStream(len(h), h, qstate.thermal_state(h, beta), role=role, beta=beta)
 
 
 def _pswap_config(p: dict, seed: int, log_base: float, **extra) -> CollisionConfig:
     """Qubit system + thermal qubit stream coupled by a partial SWAP."""
     h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
-    if not p["tau"] > 0:  # before theta / tau, which raises at tau = 0
-        raise ConfigError(f"parameter 'tau' must be > 0, got {p['tau']!r}")
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[_thermal_stream(h, p["beta"], "beta")],
+        streams=[_thermal_stream(h, p["beta"])],
         interactions=[partial_swap_interaction(2)],
         tau=p["tau"], coupling=p["theta"] / p["tau"], n_steps=p["n_steps"],
         rng_seed=seed, log_base=log_base, **extra)
@@ -158,16 +169,14 @@ NONMARKOV_DEFAULTS = {
 
 
 def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
-    for i, mode in enumerate(p["modes"]):
-        if mode not in ("coherent", "incoherent"):
-            raise ConfigError(f"parameter 'modes[{i}]' must be 'coherent' or 'incoherent', "
-                              f"got {mode!r}")
-    for i, prob in enumerate(p["p_grid"]):
-        if not 0.0 <= prob <= 1.0:
-            raise ConfigError(f"parameter 'p_grid[{i}]' must lie in [0, 1], got {prob!r}")
-    if p["metric"] not in qstate.METRICS:
-        raise ConfigError(f"parameter 'metric' must be one of {qstate.METRICS}, "
-                          f"got {p['metric']!r}")
+    cfg = _pswap_config(p, seed, log_base, pair_metric=p["metric"])
+    cfg.validate()
+    # bound verification on the exact full-state backend
+    oracle = replace(cfg, n_steps=p["bound_steps"], backend="full")
+    try:  # cfg is valid: only bound_steps can be rejected here
+        oracle.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"bound_steps {p['bound_steps']!r}: {exc}") from None
     sweep, done = [], {}
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent
@@ -179,19 +188,12 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
             # p = 1 does: each distinct channel runs once
             channel = ("off" if prob == 0 else "coherent" if prob == 1 else mode, prob)
             if channel not in done:
-                cfg = _pswap_config(p, seed, log_base, aa_mode=channel[0],
-                                    aa_swap_prob=prob, pair_metric=p["metric"])
-                traj_a, traj_b = run_paired(cfg, EXCITED, GROUND)
+                gate = {"aa_mode": channel[0], "aa_swap_prob": prob}
+                traj_a, traj_b = run_paired(replace(cfg, **gate), EXCITED, GROUND)
                 series = nonmarkov.distinguishability_series(traj_a, traj_b)
-                # bound verification on the exact full-state backend
-                oracle = replace(cfg, n_steps=p["bound_steps"], backend="full")
-                try:  # cfg is valid: only bound_steps can be rejected here
-                    oracle.validate()
-                except ConfigError as exc:
-                    raise ConfigError(f"bound_steps {p['bound_steps']!r}: {exc}") from None
                 # the joint snapshots of the oracle pair are freed once the reports exist
                 reports = nonmarkov.all_pair_bound_reports(
-                    *run_paired(oracle, EXCITED, GROUND))
+                    *run_paired(replace(oracle, **gate), EXCITED, GROUND))
                 tightest = nonmarkov.tightest_revival(reports)
                 done[channel] = traj_a, {
                     "blp": nonmarkov.blp_measure(series),
@@ -232,7 +234,7 @@ def battery_interaction(kind: str) -> np.ndarray:
 
 def scenario_battery(p: dict, seed: int, log_base: float):
     h = _scaled(p, "omega", linalg.SIGMA_Z)  # gap 2*omega on both sides keeps V resonant
-    stream = _thermal_stream(h, p["beta"], "beta")
+    stream = _thermal_stream(h, p["beta"])
     cfg = CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=GROUND,
         streams=[stream], interactions=[battery_interaction(p["interaction"])],
@@ -268,8 +270,8 @@ def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
     h_int = _scaled(p, "J", linalg.kron(sx, sx) + linalg.kron(sy, sy)) \
         + _scaled(p, "Jz", linalg.kron(sz, sz))
     h_e = p["omega"] * sz / 2
-    streams = [_thermal_stream(h_e, p["beta_hot"], "beta_hot", "bath"),
-               _thermal_stream(h_e, p["beta_cold"], "beta_cold", "bath")]
+    streams = [_thermal_stream(h_e, p["beta_hot"], "bath"),
+               _thermal_stream(h_e, p["beta_cold"], "bath")]
     # energy-preserving local exchange with each qubit's own reservoir
     v1 = linalg.kron(sx, eye, sx) + linalg.kron(sy, eye, sy)
     v2 = linalg.kron(eye, sx, sx) + linalg.kron(eye, sy, sy)
@@ -319,22 +321,20 @@ LANDAUER_DEFAULTS = {
 }
 
 
-def _landauer_config(p: dict, beta: float, seed: int, log_base: float,
-                     key: str = "beta") -> CollisionConfig:
-    """The erasure run at inverse temperature ``beta``, the value of ``key``."""
+def _landauer_config(p: dict, beta: float, seed: int, log_base: float) -> CollisionConfig:
+    """The erasure run at inverse temperature ``beta``."""
     h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     v = linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X)  # not energy preserving
     return CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[_thermal_stream(h, beta, key)], interactions=[v], tau=p["tau"],
+        streams=[_thermal_stream(h, beta)], interactions=[v], tau=p["tau"],
         coupling=p["g"], n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
 
 
 def scenario_landauer(p: dict, seed: int, log_base: float):
-    # one run per distinct beta; every config is built (its beta checked) before the first run
-    cfgs = {p["beta"]: _landauer_config(p, p["beta"], seed, log_base)}
-    for i, beta in enumerate(p["beta_grid"]):
-        cfgs.setdefault(beta, _landauer_config(p, beta, seed, log_base, f"beta_grid[{i}]"))
+    # one run per distinct beta
+    cfgs = {beta: _landauer_config(p, beta, seed, log_base)
+            for beta in [p["beta"], *p["beta_grid"]]}
     runs = {beta: run(cfg) for beta, cfg in cfgs.items()}
     reports = {beta: thermo.landauer_report(traj, p["window"]) for beta, traj in runs.items()}
     report = reports[p["beta"]]
@@ -357,37 +357,29 @@ CONTINUOUS_DEFAULTS = {
 
 
 def scenario_continuous_limit(p: dict, seed: int, log_base: float):
-    if not all(0 < tau < math.inf for tau in p["tau_grid"]):
-        raise ConfigError(f"tau_grid steps must be positive and finite, got {p['tau_grid']!r}")
-    if not 0 < p["total_time"] < math.inf:
-        raise ConfigError(f"total_time must be positive and finite, got {p['total_time']!r}")
-    if not p["gamma"] >= 0:
-        raise ConfigError(f"gamma must be >= 0, got {p['gamma']!r}")
     h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     stream = AncillaStream(2, h, GROUND)  # zero-temperature units
-    curves = {}
-    rep_traj = None
+    cfgs = {}  # one run per distinct step; every config is validated before the first run
     for tau in p["tau_grid"]:
-        theta = math.sqrt(p["gamma"] * tau)
-        if p["total_time"] / tau == math.inf:
-            raise ConfigError(f"total_time {p['total_time']!r} over the tau_grid step "
-                              f"{tau!r} is an overflowing collision count")
-        n = int(round(p["total_time"] / tau))
-        if n < 1:
-            raise ConfigError(f"total_time {p['total_time']!r} rounds to zero "
-                              f"collisions at the tau_grid step {tau!r}")
-        cfg = CollisionConfig(
+        # the collision count is set by total_time and tau: name both
+        where = f"total_time {p['total_time']!r} over the tau_grid step {tau!r}"
+        if not 0.5 < p["total_time"] / tau < math.inf:  # round(0.5) is 0
+            raise ConfigError(f"{where} must round to a finite count of at least one "
+                              f"collision, got {p['total_time'] / tau!r}")
+        cfgs[tau] = CollisionConfig(
             system_dim=2, system_hamiltonian=h, system_init=EXCITED,
             streams=[stream], interactions=[partial_swap_interaction(2)],
-            tau=tau, coupling=theta / tau, n_steps=n,
-            rng_seed=seed, log_base=log_base)
-        try:  # the collision count is set by total_time and tau: name both
-            cfg.validate()
+            tau=tau, coupling=math.sqrt(p["gamma"] * tau) / tau,
+            n_steps=int(round(p["total_time"] / tau)), rng_seed=seed, log_base=log_base)
+        try:
+            cfgs[tau].validate()
         except ConfigError as exc:
-            raise ConfigError(f"total_time {p['total_time']!r} over the tau_grid step "
-                              f"{tau!r}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
+    curves = {}
+    rep_traj = None
+    for tau, cfg in cfgs.items():
         traj = run(cfg)
-        t = tau * np.arange(n + 1)
+        t = tau * np.arange(cfg.n_steps + 1)
         pop = traj.snapshots[:, 0, 0].real
         curves[tau] = (t, pop)
         rep_traj = traj if tau == min(p["tau_grid"]) else rep_traj

@@ -104,6 +104,14 @@ def assert_writers_match_reference(tmp_path, traj, summary, rows=None):
             == (tmp_path / f"ref{suffix}").read_bytes(), suffix
 
 
+# one value outside the range of each parameter in scenarios.RANGES (a grid's
+# value is its first entry)
+OUT_OF_RANGE = {
+    "beta": -1.0, "beta_hot": math.nan, "beta_cold": math.inf, "beta_grid": [-1.0],
+    "gamma": math.inf, "tau": -1.0, "tau_grid": [0.0], "total_time": 0.0,
+    "p_grid": [1.5], "modes": ["off"], "metric": "js", "window": 0,
+}
+
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-17, 3.0]
 CHUNK = scenarios.WRITE_CHUNK
 
@@ -317,6 +325,18 @@ class TestCli:
             in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("bound_steps", [0, 11])
+    def test_bad_bound_steps_fails_before_any_collision(self, tmp_path, capsys,
+                                                        monkeypatch, bound_steps):
+        built = []
+        monkeypatch.setattr(engine, "collision_unitary", lambda *args: built.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"bound_steps": bound_steps}}))
+        code = cli.main(["nonmarkov_sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert f"bound_steps {bound_steps}:" in capsys.readouterr().err
+        assert built == []
+
     def test_each_distinct_landauer_beta_runs_once(self, monkeypatch, landauer_result):
         betas = []
 
@@ -350,6 +370,7 @@ class TestCli:
         ("continuous_limit", {"tau_grid": []}, "tau_grid"),
         ("continuous_limit", {"tau_grid": 0.1}, "tau_grid"),
         ("continuous_limit", {"gamma": -0.5}, "gamma"),
+        ("continuous_limit", {"gamma": math.inf}, "'gamma'"),
         ("nonmarkov_sweep", {"p_grid": 5}, "p_grid"),
         ("landauer", {"beta_grid": "x"}, "beta_grid"),
         ("landauer", {"beta_grid": [1.0, True]}, "beta_grid[1]"),
@@ -504,6 +525,24 @@ class TestCli:
         assert caught == []
         assert code == cli.EXIT_CONFIG
         assert "'omega'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,key", [
+        (name, key) for name in sorted(scenarios.DEFAULTS)
+        for key in sorted(scenarios.DEFAULTS[name]) if key in scenarios.RANGES])
+    def test_out_of_range_fails_before_any_collision(self, tmp_path, capsys, monkeypatch,
+                                                     scenario, key):
+        # every scenario gets the range check of each of its keys, before any run
+        assert set(OUT_OF_RANGE) == set(scenarios.RANGES)
+        built = []
+        monkeypatch.setattr(engine, "collision_unitary", lambda *args: built.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {key: OUT_OF_RANGE[key]}}))
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        quoted = f"'{key}[0]'" if isinstance(scenarios.DEFAULTS[scenario][key], tuple) \
+            else f"'{key}'"
+        assert f"parameter {quoted} must" in capsys.readouterr().err
+        assert built == []
 
     def test_zero_window_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
