@@ -7,7 +7,8 @@ Usage::
 
 Writes ``<out>/<scenario>_<seed>.csv`` and/or ``.json`` and prints a
 one-line JSON summary to stdout.  Exit codes: 0 success, 2 unknown
-scenario, 3 config error, 4 numerical-integrity abort, 5 non-convergence.
+scenario, 3 config error, 4 numerical-integrity abort, 5 non-convergence;
+``EXITS`` maps each error type to its code and the label of its message.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ EXIT_UNKNOWN_SCENARIO = 2
 EXIT_CONFIG = 3
 EXIT_INTEGRITY = 4
 EXIT_NOT_CONVERGED = 5
+# the exit code of each error a call can end with, and the label of its message
+EXITS = {ConfigError: (EXIT_CONFIG, "config error"),
+         IntegrityError: (EXIT_INTEGRITY, "numerical integrity error"),
+         NotConvergedError: (EXIT_NOT_CONVERGED, "not converged")}
 
 
 def _load_config(path: str) -> dict:
@@ -66,7 +71,6 @@ def main(argv=None) -> int:
         return EXIT_UNKNOWN_SCENARIO
     try:
         doc = _load_config(args.config) if args.config else {}
-        overrides = doc.get("overrides", {})
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"config 'seed' must be an integer, got {seed!r}")
@@ -77,12 +81,7 @@ def main(argv=None) -> int:
         if base_flag not in ("2", 2, "e"):
             raise ConfigError(f"config 'log_base' must be '2', 2 or 'e', got {base_flag!r}")
         log_base = math.e if base_flag == "e" else 2.0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_scenario(args.scenario, overrides, seed=seed, log_base=log_base)
+        result = run_scenario(args.scenario, doc.get("overrides", {}), seed, log_base)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = out_dir / f"{args.scenario}_{seed}"
@@ -98,15 +97,10 @@ def main(argv=None) -> int:
         print(json.dumps({"scenario": args.scenario, "seed": seed,
                           "outputs": written, "summary": result.summary}))
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotConvergedError as exc:
-        print(f"not converged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except IntegrityError as exc:
-        print(f"numerical integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
+    except tuple(EXITS) as exc:
+        code, label = EXITS[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry():  # console_scripts hook

@@ -38,7 +38,7 @@ renormalizes its carried state, and the full backend checks its joint
 state.  Accounting checks each step's state after collision and erasure,
 by one Cholesky factorization per block that computes spectra only when
 it fails, and then each reduced state's spectrum against the entropy
-code's clamp window.  An abort names the first failing step and stack member.
+code's clamp window.  ``_abort`` names the first failing step and stack member.
 """
 
 from __future__ import annotations
@@ -332,12 +332,16 @@ def _expect(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum('ij,...ji->...', h, rho).real
 
 
-def _first(bad: np.ndarray, steps) -> tuple[int, int, int]:
-    """Step, stack member and flat index of the first flag in ``bad``, which
-    holds one flag per member at each of ``steps``, step-major."""
+def _abort(what: str, bad: np.ndarray, steps, detail: str = "", values=None):
+    """Raise "``what`` at step S, stack member M" plus ``detail``, formatted with the
+    entry of ``values`` at the first flag in ``bad`` (step-major over ``steps``)."""
     steps = np.atleast_1d(steps)
     members, index = bad.size // len(steps), int(np.argmax(bad))
-    return int(steps[index // members]), index % members, index
+    step, member = int(steps[index // members]), index % members
+    if values is not None:
+        detail = detail.format(np.ravel(values)[index])
+    raise IntegrityError(f"{what} at step {step}, stack member {member}{detail}",
+                         step) from None
 
 
 def _integrity(joint: np.ndarray, steps) -> np.ndarray:
@@ -352,19 +356,15 @@ def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     """
     finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
-        step, member, _ = _first(~finite, steps)
-        raise IntegrityError(f"state has non-finite entries at step {step}, "
-                             f"stack member {member}", step)
+        _abort("state has non-finite entries", ~finite, steps)
     joint = linalg.hermitize(joint)
     try:
         np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
     except np.linalg.LinAlgError:
         low = linalg.sector_eigvalsh(joint)[..., 0]
         if (low < PSD_ABORT).any():
-            step, member, index = _first(low < PSD_ABORT, steps)
-            raise IntegrityError(
-                f"state lost positivity at step {step}, stack member {member}: "
-                f"min eigenvalue {np.ravel(low)[index]:.3g}", step) from None
+            _abort("state lost positivity", low < PSD_ABORT, steps,
+                   ": min eigenvalue {:.3g}", low)
     return joint / np.trace(joint, axis1=-2, axis2=-1).real[..., None, None]
 
 
@@ -484,7 +484,7 @@ def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
 
     A state that fails the integrity check after the collision and erasure,
     or a reduced state outside the entropy code's eigenvalue clamp window,
-    aborts with ``IntegrityError`` naming the first failing step and member.
+    aborts through ``_abort``, which names the first failing step and member.
     """
     st = cfg.streams[key % len(cfg.streams)]
     after_map, pre_e_map, dims = maps[key]
@@ -499,10 +499,8 @@ def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
     spectra = [qstate._spectrum(x) for x in (pre_s, post_s, post_e, pair)] + [e_vals]
     low = np.min([vals[..., 0] for vals in spectra], axis=0)
     if (low < -qstate.EIG_CLAMP).any():
-        step, member, index = _first(low < -qstate.EIG_CLAMP, steps)
-        raise IntegrityError(f"reduced state broken at step {step}, stack member {member}: "
-                             f"eigenvalue {np.ravel(low)[index]:.3g} below the clamp "
-                             "window", step)
+        _abort("reduced state broken", low < -qstate.EIG_CLAMP, steps,
+               ": eigenvalue {:.3g} below the clamp window", low)
     base = cfg.log_base
     s_s_pre, s_s_post, s_a_post, s_pair, s_a_pre = (qstate._entropy(vals, base)
                                                      for vals in spectra)

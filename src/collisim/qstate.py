@@ -29,6 +29,7 @@ EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, 0) are treated as 0
 STATE_TOL = 1e-10       # a valid state's trace error and negative eigenvalues are smaller
 SUPPORT_CUTOFF = 1e-12  # sigma eigenvalues below this count as outside support
 METRICS = ("trace", "jensen-shannon")  # the names ``state_distance`` accepts
+JS_FLOOR = 1e-12        # Jensen-Shannon divergences at or below this are rounding: 0
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -142,11 +143,16 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
 
 def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
     """Square root of the Jensen-Shannon divergence S(m) - S(rho)/2 - S(sigma)/2,
-    m the equal mixture: three spectra, always finite, in [0, 1] for base 2."""
+    m the equal mixture: three spectra, always finite, in [0, 1] for base 2.
+
+    A divergence at or below ``JS_FLOOR`` is set to 0 before the root, which
+    would lift rounding of about 1e-16 to a distance of about 1e-8.
+    """
     _check_pair(rho, sigma)
     s_mid, s_rho, s_sigma = (_entropy(_spectrum(x), base)
                              for x in ((rho + sigma) / 2, rho, sigma))
-    return _value(np.sqrt(np.maximum(s_mid - s_rho / 2 - s_sigma / 2, 0.0)))
+    div = s_mid - s_rho / 2 - s_sigma / 2
+    return _value(np.sqrt(np.where(div > JS_FLOOR, div, 0.0)))
 
 
 def state_distance(rho: np.ndarray, sigma: np.ndarray, metric: str = "trace",

@@ -9,7 +9,10 @@ merges the overrides, checking the type of each and its range in ``RANGES``
 before any run, calls the scenario with the merged parameters, and echoes
 the parameters, seed and log base at the head of the summary, so emitted
 files are self-describing.  A scenario function checks only the limits
-that join a parameter with others, computes only its own findings and
+that join a parameter with others (a window against ``n_steps`` in
+``_check_windows``), validates each of its configurations before its
+first run, with an engine rejection of a derived value re-raised under
+the keys that set it (``_keyed``), computes only its own findings and
 returns them with its representative trajectory.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -111,6 +115,24 @@ def _check_override(name: str, key: str, value, default, rng=None) -> None:
         raise ConfigError(f"parameter {key!r} must {rng[1]}, got {value!r}")
 
 
+@contextmanager
+def _keyed(label: str):
+    """Re-raise a ``ConfigError`` of the block as "``label``: message", so a
+    rejection of a derived value names the scenario keys it came from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def _check_windows(p: dict, count: int, what: str) -> None:
+    """Reject a run of ``n_steps`` collisions too short for ``count`` steady-state
+    windows of ``window`` steps, before any configuration is built."""
+    if count * p["window"] > p["n_steps"]:
+        raise ConfigError(f"parameters 'window' and 'n_steps' must fit {what} in the run, "
+                          f"got window {p['window']!r} and n_steps {p['n_steps']!r}")
+
+
 def _scaled(p: dict, key: str, op: np.ndarray) -> np.ndarray:
     """``p[key] * op``, rejected under ``key`` before it is formed if the scale is
     not finite (inf * 0 is NaN) or spreads the energies of ``op`` past the float range."""
@@ -173,10 +195,8 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
     cfg.validate()
     # bound verification on the exact full-state backend
     oracle = replace(cfg, n_steps=p["bound_steps"], backend="full")
-    try:  # cfg is valid: only bound_steps can be rejected here
+    with _keyed(f"bound_steps {p['bound_steps']!r}"):  # only bound_steps can fail here
         oracle.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"bound_steps {p['bound_steps']!r}: {exc}") from None
     sweep, done = [], {}
     # representative trajectory: the coherent entry with the largest p, or
     # the last entry when no mode is coherent
@@ -233,6 +253,7 @@ def battery_interaction(kind: str) -> np.ndarray:
 
 
 def scenario_battery(p: dict, seed: int, log_base: float):
+    _check_windows(p, 2, "two flux windows")
     h = _scaled(p, "omega", linalg.SIGMA_Z)  # gap 2*omega on both sides keeps V resonant
     stream = _thermal_stream(h, p["beta"])
     cfg = CollisionConfig(
@@ -283,17 +304,17 @@ def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
 
 
 def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
+    _check_windows(p, 2, "two flux windows")
     cfg = _two_qubit_config(p, seed, log_base)
     w = p["window"]
     if w < len(cfg.streams):  # the tail must hold a collision with each bath
         raise ConfigError(f"window must be >= {len(cfg.streams)}, got {w!r}")
-    try:  # the commutators need no run: a scale that overflows them fails first
+    # the commutators need no run: a scale that overflows them fails first
+    with _keyed("parameters 'omega', 'J' and 'Jz' set the energies of the "
+                "detailed-balance commutators"):
         db = [thermo.detailed_balance_report(
             cfg.system_hamiltonian, cfg.streams[i].hamiltonian, cfg.interactions[i])
             for i in range(2)]
-    except ConfigError as exc:
-        raise ConfigError(f"parameters 'omega', 'J' and 'Jz' set the energies of the "
-                          f"detailed-balance commutators: {exc}") from None
     traj = run(cfg)
     fluxes = thermo.steady_state_fluxes(traj, w)  # validates the window first
     stream, q = traj.config.stream_index()[-w:], traj.ledger["Q"][-w:]
@@ -332,9 +353,16 @@ def _landauer_config(p: dict, beta: float, seed: int, log_base: float) -> Collis
 
 
 def scenario_landauer(p: dict, seed: int, log_base: float):
-    # one run per distinct beta
+    _check_windows(p, 1, "the drift window")  # the drift reads window + 1 snapshots
+    # one run per distinct beta; every config is validated before the first run,
+    # and a grid config differs from the first one only in its beta
     cfgs = {beta: _landauer_config(p, beta, seed, log_base)
             for beta in [p["beta"], *p["beta_grid"]]}
+    first, *grid = cfgs
+    cfgs[first].validate()
+    for beta in grid:
+        with _keyed(f"beta_grid entry {beta!r}"):
+            cfgs[beta].validate()
     runs = {beta: run(cfg) for beta, cfg in cfgs.items()}
     reports = {beta: thermo.landauer_report(traj, p["window"]) for beta, traj in runs.items()}
     report = reports[p["beta"]]
@@ -371,10 +399,8 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
             streams=[stream], interactions=[partial_swap_interaction(2)],
             tau=tau, coupling=math.sqrt(p["gamma"] * tau) / tau,
             n_steps=int(round(p["total_time"] / tau)), rng_seed=seed, log_base=log_base)
-        try:
+        with _keyed(f"gamma {p['gamma']!r} and {where}"):  # the coupling is sqrt(gamma / tau)
             cfgs[tau].validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
     curves = {}
     rep_traj = None
     for tau, cfg in cfgs.items():

@@ -451,6 +451,9 @@ class TestCli:
         ("nonmarkov_sweep", {"modes": ["foo"]}, "'modes[0]' must be 'coherent' or"),
         ("nonmarkov_sweep", {"p_grid": [-0.5]}, "'p_grid[0]' must lie in [0, 1]"),
         ("nonmarkov_sweep", {"metric": "js"}, "'metric' must be one of"),
+        # the tau-grid coupling sqrt(gamma * tau) / tau overflows through gamma
+        ("continuous_limit", {"gamma": 1e308, "tau_grid": [10.0], "total_time": 40.0},
+         "gamma 1e+308"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -543,6 +546,39 @@ class TestCli:
             else f"'{key}'"
         assert f"parameter {quoted} must" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("scenario,overrides,words", [
+        # a steady-state window longer than the run, named with the run's length
+        ("battery", {"window": 400}, ["'window'", "'n_steps'"]),
+        ("two_qubit_local_global", {"window": 2001}, ["'window'", "'n_steps'"]),
+        ("landauer", {"window": 1600}, ["'window'", "'n_steps'"]),
+        ("landauer", {"n_steps": 40}, ["'window'", "'n_steps'"]),
+        # a grid config is validated before the first run, under its grid key
+        ("landauer", {"beta_grid": [1.0, 1e308]}, ["beta_grid", "beta 1e+308"]),
+    ])
+    def test_joint_limit_fails_before_any_collision(self, tmp_path, capsys, monkeypatch,
+                                                    scenario, overrides, words):
+        built = []
+        monkeypatch.setattr(engine, "collision_unitary", lambda *args: built.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert built == []
+
+    @pytest.mark.parametrize("scenario,overrides,code", [
+        ("battery", {"n_steps": 100, "window": 50}, cli.EXIT_OK),
+        ("two_qubit_local_global", {"n_steps": 60, "window": 30}, cli.EXIT_OK),
+        # the drift is read over the whole run, which starts far from steady
+        ("landauer", {"n_steps": 20, "window": 20, "beta_grid": [1.0]},
+         cli.EXIT_NOT_CONVERGED),
+    ])
+    def test_longest_window_is_read(self, tmp_path, scenario, overrides, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        assert cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == code
 
     def test_zero_window_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -720,6 +756,13 @@ class TestRevivalSlack:
     def test_memoryless_entries_have_none(self, nonmarkov_result):
         sweep = nonmarkov_result.summary["sweep"]
         assert [e["min_revival_slack"] for e in sweep if e["p"] == 0] == [None, None]
+
+    def test_memoryless_js_entries_have_no_revival(self):
+        # the roots of rounding-level JS divergences (about 1e-16) would cross
+        # REVIVAL_THRESHOLD; qstate.JS_FLOOR reads such divergences as 0
+        sweep = scenarios.run_scenario("nonmarkov_sweep", {
+            "metric": "jensen-shannon", "p_grid": [0.0], "bound_steps": 2}).summary["sweep"]
+        assert [(e["blp"], e["first_revival_step"]) for e in sweep] == [(0.0, None)] * 2
 
     def test_full_swap_slack(self, nonmarkov_result):
         entry = next(e for e in nonmarkov_result.summary["sweep"]
