@@ -81,9 +81,12 @@ def main(argv=None) -> int:
         if base_flag not in ("2", 2, "e"):
             raise ConfigError(f"config 'log_base' must be '2', 2 or 'e', got {base_flag!r}")
         log_base = math.e if base_flag == "e" else 2.0
-        result = run_scenario(args.scenario, doc.get("overrides", {}), seed, log_base)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:  # before the run, so an unusable directory costs no run
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out!r}: {exc.strerror}") from None
+        result = run_scenario(args.scenario, doc.get("overrides", {}), seed, log_base)
         stem = out_dir / f"{args.scenario}_{seed}"
         rows = trajectory_rows(result.trajectory)  # checked once, for every writer
         written = []

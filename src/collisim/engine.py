@@ -22,9 +22,10 @@ collision, one to the fresh unit before it.  The ``windowed`` backend
 iterates their partial traces onto the carried factors, one matrix
 product per step on the vectorized stack; erasure of a carried unit's
 correlations, which is not linear, follows as an explicit step.  The
-``full`` backend keeps every unit in one joint state, stores it after
-every step as the exact small-instance oracle, and stores its carried
-part too.
+``full`` backend keeps every unit in one live joint state, the exact
+small-instance oracle; after every step it stores the carried part and
+what the backflow bound reads: each member's environment state and its
+correlation term D(rho_SE, rho_S (x) rho_E) in the pair metric.
 
 Accounting then rebuilds each step's states from its carried state with
 one product by its map, in blocks of about ``LEDGER_BLOCK`` states (steps
@@ -246,7 +247,8 @@ class Trajectory:
     config: CollisionConfig
     ledger: dict[str, np.ndarray]
     snapshots: np.ndarray | None = None
-    joint_snapshots: list[np.ndarray] | None = None  # full backend, len n_steps + 1
+    env_states: list[np.ndarray] | None = None  # full backend: the units after each step
+    correlations: np.ndarray | None = None  # full backend: (n_steps,) correlation terms
 
     @property
     def records(self) -> tuple[CollisionRecord, ...]:
@@ -261,25 +263,20 @@ class Trajectory:
                             **dict(zip(names, row)))
             for k, (si, *row) in enumerate(zip(schedule, *columns)))
 
-    def joint_dims(self, step: int) -> list[int]:
-        """Factor dimensions of the joint snapshot after ``step`` collisions."""
-        streams = self.config.streams
-        return [self.config.system_dim] + [
-            streams[i].dim for i in self.config.stream_index()[:step].tolist()]
-
 
 @dataclass
 class TrajectoryStack:
     """B trajectories propagated under one channel realization.
 
     ``ledger`` maps each name in ``LEDGER_FIELDS`` to an (n_steps, B)
-    array; ``snapshots`` has shape (n_steps + 1, B, d_S, d_S) and each
-    joint snapshot is a (B, D, D) stack.
+    array; ``snapshots`` has shape (n_steps + 1, B, d_S, d_S), each
+    environment state is a (B, d, d) stack and ``correlations`` (n_steps, B).
     """
     config: CollisionConfig
     ledger: dict[str, np.ndarray]
     snapshots: np.ndarray
-    joint_snapshots: list[np.ndarray] | None = None  # full backend
+    env_states: list[np.ndarray] | None = None
+    correlations: np.ndarray | None = None
 
     def member(self, b: int) -> Trajectory:
         """The trajectory of stack member ``b``: slices of the stack's arrays."""
@@ -287,12 +284,12 @@ class TrajectoryStack:
             config=replace(self.config, system_init=self.snapshots[0, b]),
             ledger={name: column[:, b] for name, column in self.ledger.items()},
             snapshots=self.snapshots[:, b],
-            joint_snapshots=None if self.joint_snapshots is None
-            else [j[b] for j in self.joint_snapshots])
+            env_states=None if self.env_states is None else [e[b] for e in self.env_states],
+            correlations=None if self.correlations is None else self.correlations[:, b])
 
 
-def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
-    """exp(-i (H_S + H_E + g V) tau) on the system (x) unit space."""
+def collision_hamiltonian(cfg: CollisionConfig, stream: int) -> np.ndarray:
+    """H_S + H_E + g V on the system (x) unit space, rejected if it overflows."""
     st = cfg.streams[stream]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         h = linalg.kron(cfg.system_hamiltonian, np.eye(st.dim)) \
@@ -301,7 +298,12 @@ def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ConfigError(f"collision Hamiltonian of stream {stream} overflows: coupling "
                           f"{cfg.coupling:.3g} times its interaction, plus H_S + H_E")
-    return linalg.unitary_from_hamiltonian(h, cfg.tau)
+    return h
+
+
+def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
+    """exp(-i (H_S + H_E + g V) tau) on the system (x) unit space."""
+    return linalg.unitary_from_hamiltonian(collision_hamiltonian(cfg, stream), cfg.tau)
 
 
 def erase_correlations(joint: np.ndarray, dims: list[int], lam: float) -> np.ndarray:
@@ -463,16 +465,22 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
 
 
 def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
-          carried: np.ndarray) -> list[np.ndarray]:
-    """The full backend: the whole joint state, checked after every step,
-    with its carried part stored in ``carried``.  Returns the joint states."""
-    joint, dims, joints = inits, [cfg.system_dim], [inits]
+          carried: np.ndarray):
+    """The full backend: the live joint state, checked after every step, with
+    its carried part stored in ``carried``.  Returns the (B, d_E, d_E) units'
+    states after each step and the (n_steps, B) correlation terms in
+    ``cfg.pair_metric``, each from its member's own joint state."""
+    joint, dims = inits, [cfg.system_dim]
+    envs, corr = [], np.empty((len(keys), len(inits)))
     for k, key in enumerate(keys.tolist()):
         joint, dims = _collide(cfg, unitaries, joint, dims, key)[1:]
         joint = _integrity(erase_correlations(joint, dims, cfg.erasure_lambda), k)
-        joints.append(joint)
         carried[k + 1] = linalg.partial_trace(joint, dims, _kept(cfg, dims))
-    return joints
+        envs.append(linalg.partial_trace(joint, dims, range(1, len(dims))))
+        corr[k] = [qstate.state_distance(
+            j, linalg.kron(linalg.partial_trace(j, dims, [0]), env),
+            cfg.pair_metric, cfg.log_base) for j, env in zip(joint, envs[-1])]
+    return envs, corr
 
 
 def _block_ledger(cfg: CollisionConfig, maps, key: int, carried: np.ndarray,
@@ -556,9 +564,9 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
     first = linalg.kron(inits, cfg.streams[0].init_state) if len(dims) > 1 else inits
     carried = np.empty((cfg.n_steps + 1,) + first.shape, dtype=complex)
     carried[0] = first
-    joints = None
+    envs = corr = None
     if cfg.backend == "full":
-        joints = _grow(cfg, unitaries, keys, inits, carried)
+        envs, corr = _grow(cfg, unitaries, keys, inits, carried)
     else:
         _iterate(cfg, maps, keys, carried)
     snapshots = carried
@@ -567,7 +575,7 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
         snapshots[0] = inits
     ledger = _account(cfg, maps, keys, carried)
     return TrajectoryStack(config=cfg, ledger=dict(zip(LEDGER_FIELDS, ledger)),
-                           snapshots=snapshots, joint_snapshots=joints)
+                           snapshots=snapshots, env_states=envs, correlations=corr)
 
 
 def run(cfg: CollisionConfig) -> Trajectory:

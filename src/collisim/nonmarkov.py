@@ -6,7 +6,8 @@ signals information returning from the environment.  Revivals are
 quantified by summing positive increments along the series (discrete BLP
 construction) and every revival is bounded by environment-state change
 plus the two system-environment correlation terms, which ``bound_terms``
-evaluates at every collision index on the full-state oracle backend.
+reads at every collision index from the record of the full-state oracle
+backend; ``bound_findings`` reduces the (s, t) family of bounds with arrays.
 
 The search for the most non-Markovian pair propagates each row of its
 Bloch grid (one value of cos theta) as a single stack through the
@@ -17,11 +18,10 @@ all pairs of the row from one stacked distance series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, qstate
+from . import qstate
 from .engine import CollisionConfig, Trajectory, run_stack
 from .errors import ConfigError
 
@@ -96,57 +96,40 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
     return best_pair, best
 
 
-@dataclass
-class BoundReport:
-    """One instance of the information-backflow inequality."""
-    s: int
-    t: int
-    lhs: float            # revival D(t) - D(s)
-    rhs_env: float        # environment-state distinguishability at s
-    rhs_corr_rho: float   # correlation term of the first trajectory at s
-    rhs_corr_sigma: float  # correlation term of the second trajectory at s
-
-    @property
-    def slack(self) -> float:
-        return self.rhs_env + self.rhs_corr_rho + self.rhs_corr_sigma - self.lhs
-
-
 def bound_terms(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
-    """The environment term and the two correlation terms of the bound, in
-    the pair's metric, at every collision index of a full-backend pair, as
-    an (n_steps + 1, 3) array; row 0 is zero, since no unit has collided yet."""
-    if traj_a.joint_snapshots is None or traj_b.joint_snapshots is None:
-        raise ConfigError("bound terms need full-backend joint snapshots")
+    """The environment term (the distance of the two recorded environment
+    states) and the two recorded correlation terms of the bound, in the pair's
+    metric, at every collision index of a full-backend pair, as an
+    (n_steps + 1, 3) array; row 0 is zero, since no unit has collided yet."""
+    if traj_a.env_states is None or traj_b.env_states is None:
+        raise ConfigError("bound terms need the full-backend environment states")
     metric, base = traj_a.config.pair_metric, traj_a.config.log_base
-    terms = np.zeros((len(traj_a.joint_snapshots), 3))
-    for s in range(1, len(terms)):
-        dims = traj_a.joint_dims(s)
-        joints = traj_a.joint_snapshots[s], traj_b.joint_snapshots[s]
-        envs = [linalg.partial_trace(joint, dims, range(1, len(dims))) for joint in joints]
-        terms[s, 0] = qstate.state_distance(*envs, metric, base)
-        for i, (joint, env) in enumerate(zip(joints, envs), 1):
-            # the product state stays unnamed: one member's copy at a time
-            terms[s, i] = qstate.state_distance(
-                joint, linalg.kron(linalg.partial_trace(joint, dims, [0]), env),
-                metric, base)
+    terms = np.zeros((len(traj_a.env_states) + 1, 3))
+    terms[1:, 0] = [qstate.state_distance(env_a, env_b, metric, base)
+                    for env_a, env_b in zip(traj_a.env_states, traj_b.env_states)]
+    terms[1:, 1], terms[1:, 2] = traj_a.correlations, traj_b.correlations
     return terms
 
 
-def all_pair_bound_reports(traj_a: Trajectory, traj_b: Trajectory) -> list[BoundReport]:
-    """Exhaustive (s, t) bound family, t >= s, over a completed full-backend pair."""
-    terms = bound_terms(traj_a, traj_b).tolist()
-    dist = distinguishability_series(traj_a, traj_b).tolist()
-    return [BoundReport(s, t, dist[t] - dist[s], *terms[s])
-            for s in range(len(dist)) for t in range(s, len(dist))]
-
-
-def tightest_revival(reports: list[BoundReport]) -> BoundReport | None:
-    """The report of smallest slack among genuine revivals (s >= 1 and a
-    revival above ``REVIVAL_THRESHOLD``, so t > s), or None when there is
-    none.
-
-    The rest of the family is tight by construction: t = s has lhs = 0,
-    and s = 0 has all three terms 0.
-    """
-    return min((r for r in reports if r.s >= 1 and r.lhs > REVIVAL_THRESHOLD),
-               key=lambda r: r.slack, default=None)
+def bound_findings(dist, terms) -> dict:
+    """The smallest slack, the tightest genuine revival and the largest revival
+    of the exhaustive (s, t) bound family, t >= s, of a pair's series ``dist``
+    and ``bound_terms``: each member bounds lhs = dist[t] - dist[s] by the
+    terms at s, with slack their sum minus lhs.  A genuine revival has s >= 1
+    and lhs above ``REVIVAL_THRESHOLD`` (so t > s); the rest of the family is
+    tight by construction (t = s has lhs = 0, s = 0 has all terms 0).  Members
+    run s-major and the first wins a tie; no genuine revival gives None."""
+    dist, terms = np.asarray(dist), np.asarray(terms)
+    s, t = np.triu_indices(len(dist))
+    lhs = dist[t] - dist[s]
+    slack = terms[s, 0] + terms[s, 1] + terms[s, 2] - lhs
+    revivals = np.flatnonzero((s >= 1) & (lhs > REVIVAL_THRESHOLD))
+    tightest = None
+    if revivals.size:
+        i = revivals[np.argmin(slack[revivals])]
+        tightest = {"slack": float(slack[i]), "s": int(s[i]), "t": int(t[i]),
+                    "lhs": float(lhs[i]), **dict(zip(
+                        ("rhs_env", "rhs_corr_rho", "rhs_corr_sigma"), terms[s[i]].tolist()))}
+    return {"min_bound_slack": float(slack[np.argmin(slack)]),
+            "min_revival_slack": tightest,
+            "max_revival_lhs": float(lhs[np.argmax(lhs)])}

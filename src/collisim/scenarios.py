@@ -22,12 +22,12 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, nonmarkov, qstate, thermo
-from .engine import (AncillaStream, CollisionConfig, Trajectory,
+from .engine import (AncillaStream, CollisionConfig, Trajectory, collision_hamiltonian,
                      partial_swap_interaction, run, run_paired)
 from .errors import ConfigError
 
@@ -80,6 +80,7 @@ _POSITIVE = (lambda v: 0 < v < math.inf, "be positive and finite")
 RANGES = {
     **dict.fromkeys(["beta", "beta_hot", "beta_cold", "beta_grid", "gamma"], _NON_NEGATIVE),
     **dict.fromkeys(["tau", "tau_grid", "total_time"], _POSITIVE),
+    "theta": (math.isfinite, "be finite"),
     "p_grid": (lambda v: 0 <= v <= 1, "lie in [0, 1]"),
     "modes": (lambda v: v in ("coherent", "incoherent"), "be 'coherent' or 'incoherent'"),
     "metric": (lambda v: v in qstate.METRICS, f"be one of {qstate.METRICS}"),
@@ -143,6 +144,14 @@ def _scaled(p: dict, key: str, op: np.ndarray) -> np.ndarray:
     return p[key] * op
 
 
+def _coupled(cfg: CollisionConfig, keys: str) -> CollisionConfig:
+    """``cfg``, rejected under ``keys`` if its coupling overflows a collision Hamiltonian."""
+    with _keyed(f"the coupling of {keys}"):
+        for i in range(len(cfg.streams)):
+            collision_hamiltonian(cfg, i)
+    return cfg
+
+
 def _thermal_stream(h: np.ndarray, beta: float, role: str = "resource") -> AncillaStream:
     """Units of Hamiltonian ``h``, each thermal at inverse temperature ``beta``."""
     return AncillaStream(len(h), h, qstate.thermal_state(h, beta), role=role, beta=beta)
@@ -151,12 +160,12 @@ def _thermal_stream(h: np.ndarray, beta: float, role: str = "resource") -> Ancil
 def _pswap_config(p: dict, seed: int, log_base: float, **extra) -> CollisionConfig:
     """Qubit system + thermal qubit stream coupled by a partial SWAP."""
     h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
-    return CollisionConfig(
+    return _coupled(CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
         streams=[_thermal_stream(h, p["beta"])],
         interactions=[partial_swap_interaction(2)],
         tau=p["tau"], coupling=p["theta"] / p["tau"], n_steps=p["n_steps"],
-        rng_seed=seed, log_base=log_base, **extra)
+        rng_seed=seed, log_base=log_base, **extra), "parameters 'theta' / 'tau'")
 
 
 # --------------------------------------------------------------------------
@@ -211,18 +220,14 @@ def scenario_nonmarkov_sweep(p: dict, seed: int, log_base: float):
                 gate = {"aa_mode": channel[0], "aa_swap_prob": prob}
                 traj_a, traj_b = run_paired(replace(cfg, **gate), EXCITED, GROUND)
                 series = nonmarkov.distinguishability_series(traj_a, traj_b)
-                # the joint snapshots of the oracle pair are freed once the reports exist
-                reports = nonmarkov.all_pair_bound_reports(
-                    *run_paired(replace(oracle, **gate), EXCITED, GROUND))
-                tightest = nonmarkov.tightest_revival(reports)
+                pair = run_paired(replace(oracle, **gate), EXCITED, GROUND)
                 done[channel] = traj_a, {
                     "blp": nonmarkov.blp_measure(series),
                     "first_revival_step": nonmarkov.first_revival_step(series),
-                    "min_bound_slack": float(min(r.slack for r in reports)),
-                    "min_revival_slack": None if tightest is None
-                    else {"slack": tightest.slack, **asdict(tightest)},
-                    "max_revival_lhs": float(max(r.lhs for r in reports)),
+                    **nonmarkov.bound_findings(nonmarkov.distinguishability_series(*pair),
+                                               nonmarkov.bound_terms(*pair)),
                 }
+                del pair  # the oracle pair is freed before the next one runs
             traj_a, findings = done[channel]
             sweep.append({"mode": mode, "p": prob, **findings})
             if mode == "coherent" and prob >= rep_p:
@@ -256,11 +261,11 @@ def scenario_battery(p: dict, seed: int, log_base: float):
     _check_windows(p, 2, "two flux windows")
     h = _scaled(p, "omega", linalg.SIGMA_Z)  # gap 2*omega on both sides keeps V resonant
     stream = _thermal_stream(h, p["beta"])
-    cfg = CollisionConfig(
+    cfg = _coupled(CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=GROUND,
         streams=[stream], interactions=[battery_interaction(p["interaction"])],
         tau=p["tau"], coupling=p["g"], n_steps=p["n_steps"],
-        rng_seed=seed, log_base=log_base)
+        rng_seed=seed, log_base=log_base), "parameter 'g'")
     traj = run(cfg)
     final = traj.snapshots[-1]
     pops = np.diag(final).real
@@ -296,11 +301,11 @@ def _two_qubit_config(p: dict, seed: int, log_base: float) -> CollisionConfig:
     # energy-preserving local exchange with each qubit's own reservoir
     v1 = linalg.kron(sx, eye, sx) + linalg.kron(sy, eye, sy)
     v2 = linalg.kron(eye, sx, sx) + linalg.kron(eye, sy, sy)
-    return CollisionConfig(
+    return _coupled(CollisionConfig(
         system_dim=4, system_hamiltonian=h_local + h_int,
         system_init=linalg.kron(streams[0].init_state, streams[1].init_state),
         streams=streams, interactions=[v1, v2], tau=p["tau"], coupling=p["g"],
-        n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
+        n_steps=p["n_steps"], rng_seed=seed, log_base=log_base), "parameter 'g'")
 
 
 def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
@@ -346,10 +351,10 @@ def _landauer_config(p: dict, beta: float, seed: int, log_base: float) -> Collis
     """The erasure run at inverse temperature ``beta``."""
     h = _scaled(p, "omega", linalg.SIGMA_Z / 2)
     v = linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X)  # not energy preserving
-    return CollisionConfig(
+    return _coupled(CollisionConfig(
         system_dim=2, system_hamiltonian=h, system_init=EXCITED,
-        streams=[_thermal_stream(h, beta)], interactions=[v], tau=p["tau"],
-        coupling=p["g"], n_steps=p["n_steps"], rng_seed=seed, log_base=log_base)
+        streams=[_thermal_stream(h, beta)], interactions=[v], tau=p["tau"], coupling=p["g"],
+        n_steps=p["n_steps"], rng_seed=seed, log_base=log_base), "parameter 'g'")
 
 
 def scenario_landauer(p: dict, seed: int, log_base: float):

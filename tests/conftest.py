@@ -2,13 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from collisim import linalg, qstate, scenarios
+from collisim import engine, linalg, qstate, scenarios
 
 # property tests draw the same examples on every run, with no time limit per
 # example (timings drift on shared machines) and no example database
 settings.register_profile("tier1", deadline=None, derandomize=True, database=None,
                           max_examples=100)
 settings.load_profile("tier1")
+
+
+def capture_joints(monkeypatch) -> dict:
+    """Filled by the full-backend runs that follow: the (B, D, D) joint state
+    after n collisions, keyed by n, as ``engine._integrity`` returns it to the
+    propagation; the first run's, when several runs follow."""
+    joints, integrity = {}, engine._integrity
+
+    def capture(joint, steps):
+        out = integrity(joint, steps)
+        if isinstance(steps, int):  # a propagation step, not an accounting block
+            joints.setdefault(steps + 1, out)
+        return out
+    monkeypatch.setattr(engine, "_integrity", capture)
+    return joints
 
 
 def random_density_matrix(rng, dim):

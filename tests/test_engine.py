@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from collisim.engine import (AncillaStream, CollisionConfig, collision_unitary,
                              partial_swap_unitary, run, run_paired, run_stack,
                              swap_unitary, system_channel)
 from collisim.errors import ConfigError, IntegrityError
-from conftest import mutual_information, random_density_matrix, random_hermitian
+from conftest import (capture_joints, mutual_information, random_density_matrix,
+                      random_hermitian)
 
 SX, SY, SZ, I2 = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
 EXCITED = qstate.pure_state([1, 0])
@@ -228,11 +229,30 @@ class TestRun:
         with pytest.raises(ConfigError, match=f"joint dimension {2 ** (cap + 1)} exceeds"):
             qubit_config(n_steps=cap, backend="full").validate()
 
-    def test_full_backend_retains_joint(self):
+    def test_full_backend_records_the_bound_inputs(self, monkeypatch):
+        # after each step: the units' state, and the correlation term of the
+        # joint state with the product of its marginals, in the pair metric
         cfg = qubit_config(n_steps=3, backend="full")
+        joints = capture_joints(monkeypatch)
         traj = run(cfg)
-        assert traj.joint_snapshots[-1].shape == (16, 16)
-        qstate.validate_density_matrix(traj.joint_snapshots[-1])
+        assert [env.shape for env in traj.env_states] == [(2, 2), (4, 4), (8, 8)]
+        assert traj.correlations.shape == (3,)
+        for s, (env, corr) in enumerate(zip(traj.env_states, traj.correlations), 1):
+            qstate.validate_density_matrix(env)
+            joint, dims = joints[s][0], [2] * (s + 1)
+            assert joint.shape == (2 ** (s + 1),) * 2
+            qstate.validate_density_matrix(joint)
+            assert np.array_equal(env, linalg.partial_trace(joint, dims, range(1, s + 1)))
+            assert corr == qstate.trace_distance(
+                joint, linalg.kron(linalg.partial_trace(joint, dims, [0]), env))
+        assert traj.correlations[-1] > 1e-3
+
+    def test_full_backend_keeps_no_joint_state(self):
+        # the 9-qubit joint state (512 x 512) of an 8-step run is not kept:
+        # no array the trajectory holds is larger than its last environment state
+        traj = run(qubit_config(n_steps=8, backend="full"))
+        assert traj.env_states[-1].shape == (256, 256)
+        assert max(root_nbytes(a) for a in arrays_in(traj)) == traj.env_states[-1].nbytes
 
 
 class TestChannelProperty:
@@ -664,6 +684,29 @@ class TestAbortAcrossBlocks:
             run_stack(self.config(), random_stack(np.random.default_rng(5), n=MEMBERS))
 
 
+def arrays_in(obj):
+    """Every numpy array reachable from ``obj`` through dataclass fields,
+    dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from arrays_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from arrays_in(value)
+    elif is_dataclass(obj):
+        for field in fields(obj):
+            yield from arrays_in(getattr(obj, field.name))
+
+
+def root_nbytes(a: np.ndarray) -> int:
+    """The bytes of the array that ``a`` views, or of ``a`` itself."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
 def random_stack(rng, n=5, dim=2):
     return np.array([random_density_matrix(rng, dim) for _ in range(n)])
 
@@ -682,9 +725,10 @@ class TestRunStack:
             single = run(replace(cfg, system_init=init))
             pairs = list(zip(member.snapshots, single.snapshots))
             if backend == "full":
-                pairs += list(zip(member.joint_snapshots, single.joint_snapshots))
+                pairs += list(zip(member.env_states, single.env_states))
+                pairs.append((member.correlations, single.correlations))
             else:
-                assert member.joint_snapshots is None
+                assert member.env_states is None and member.correlations is None
             for a, c in pairs:
                 assert np.max(np.abs(a - c)) < 1e-12
             assert len(member.records) == len(single.records) == 5

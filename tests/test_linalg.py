@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from collisim import linalg, qstate, scenarios
 from collisim.engine import run, run_paired
 from collisim.errors import ConfigError
-from conftest import random_density_matrix, random_hermitian
+from conftest import capture_joints, random_density_matrix, random_hermitian
 
 SX, SY, SZ, I2 = linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.EYE2
 
@@ -223,39 +223,44 @@ class TestSectorEigvalsh:
         assert np.array_equal(linalg.sector_eigvalsh(h), np.linalg.eigvalsh(h))
         assert eigvalsh_calls == [6, 6]
 
-    def test_oracle_joint_splits_into_excitation_sectors(self, eigvalsh_calls):
+    def test_oracle_joint_splits_into_excitation_sectors(self, eigvalsh_calls, monkeypatch):
         # the nonmarkov_sweep oracle (coherent unit-unit swaps) at s = 8: the
         # 9-qubit joint conserves the excitation number, so its components are
         # the sectors of fixed excitation number, C(9, k) each
         p = scenarios.NONMARKOV_DEFAULTS
         cfg = scenarios._pswap_config(p, 0, 2.0, aa_mode="coherent", aa_swap_prob=1.0,
                                       pair_metric=p["metric"])
-        traj, _ = run_paired(replace(cfg, n_steps=p["bound_steps"], backend="full"),
-                             scenarios.EXCITED, scenarios.GROUND)
-        joint = traj.joint_snapshots[8]
+        joints = capture_joints(monkeypatch)
+        run_paired(replace(cfg, n_steps=p["bound_steps"], backend="full"),
+                   scenarios.EXCITED, scenarios.GROUND)
+        joint = joints[8][0]
         assert joint.shape == (512, 512)
         eigvalsh_calls.clear()  # the run's own spectra
         vals = linalg.sector_eigvalsh(joint)
         assert sorted(eigvalsh_calls, reverse=True) == [126, 126, 84, 84, 36, 36, 9, 9, 1, 1]
         assert np.max(np.abs(vals - np.linalg.eigvalsh(joint))) < 1e-12
 
-    def test_symmetry_breaking_joint_keeps_only_parity(self, eigvalsh_calls):
+    def test_symmetry_breaking_joint_keeps_only_parity(self, eigvalsh_calls, monkeypatch):
         # landauer's sx sx coupling changes the excitation number by 0 or 2:
         # its excitation sectors merge, and only the two parity halves remain
         cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
-        joint = run(replace(cfg, n_steps=3, backend="full")).joint_snapshots[3]
+        joints = capture_joints(monkeypatch)
+        run(replace(cfg, n_steps=3, backend="full"))
+        joint = joints[3][0]
         assert joint.shape == (16, 16)
         eigvalsh_calls.clear()
         vals = linalg.sector_eigvalsh(joint)
         assert eigvalsh_calls == [8, 8]
         assert np.max(np.abs(vals - np.linalg.eigvalsh(joint))) < 1e-12
 
-    def test_coherent_landauer_joint_is_one_component(self, eigvalsh_calls):
+    def test_coherent_landauer_joint_is_one_component(self, eigvalsh_calls, monkeypatch):
         # a system state with coherences breaks the parity too: one block,
         # diagonalized by the plain dense call
         cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
         cfg = replace(cfg, n_steps=3, backend="full", system_init=qstate.bloch_state(1.0, 0.5))
-        joint = run(cfg).joint_snapshots[3]
+        joints = capture_joints(monkeypatch)
+        run(cfg)
+        joint = joints[3][0]
         eigvalsh_calls.clear()
         vals = linalg.sector_eigvalsh(joint)
         assert eigvalsh_calls == [16]

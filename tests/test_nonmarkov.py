@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -169,45 +170,91 @@ def oracle_pair(cfg):
     return run_paired(replace(cfg, backend="full"), EXCITED, GROUND)
 
 
-def bound_report(pair, s, t):
+def reference_family(dist, terms):
+    """The exhaustive (s, t) bound family, t >= s, member by member in s-major
+    order: the O(n^2) reference that ``bound_findings`` reduces with arrays."""
+    family = []
+    for s in range(len(dist)):
+        env, rho, sigma = terms[s]
+        for t in range(s, len(dist)):
+            lhs = dist[t] - dist[s]
+            family.append({"slack": env + rho + sigma - lhs, "s": s, "t": t, "lhs": lhs,
+                           "rhs_env": env, "rhs_corr_rho": rho, "rhs_corr_sigma": sigma})
+    return family
+
+
+def reference_findings(dist, terms):
+    """The findings ``bound_findings`` returns, from ``reference_family``: the
+    first of equal minima (or maxima) wins, as in Python's min and max."""
+    family = reference_family(list(dist), np.asarray(terms).tolist())
+    revivals = [m for m in family if m["s"] >= 1 and m["lhs"] > nonmarkov.REVIVAL_THRESHOLD]
+    return {"min_bound_slack": min(m["slack"] for m in family),
+            "min_revival_slack": min(revivals, key=lambda m: m["slack"], default=None),
+            "max_revival_lhs": max(m["lhs"] for m in family)}
+
+
+def assert_findings_match_reference(dist, terms):
+    """Same values, keys, key order and types: the sweep's JSON bytes."""
+    found = nonmarkov.bound_findings(dist, terms)
+    assert json.dumps(found) == json.dumps(reference_findings(dist, terms))
+    return found
+
+
+def pair_family(pair):
+    """The reference family of a paired full-backend run."""
+    return reference_family(nonmarkov.distinguishability_series(*pair).tolist(),
+                            nonmarkov.bound_terms(*pair).tolist())
+
+
+def bound_member(pair, s, t):
     """The (s, t) member of the exhaustive bound family of a paired run."""
-    return next(r for r in nonmarkov.all_pair_bound_reports(*pair) if (r.s, r.t) == (s, t))
+    return next(m for m in pair_family(pair) if (m["s"], m["t"]) == (s, t))
 
 
-class TestBoundReports:
+class TestBoundFindings:
     def test_markovian_revivals_never_positive(self):
         cfg = qubit_config(n_steps=6)
-        rep = bound_report(oracle_pair(cfg), 2, 5)
-        assert rep.lhs <= 1e-12
-        assert rep.slack >= -1e-9
+        rep = bound_member(oracle_pair(cfg), 2, 5)
+        assert rep["lhs"] <= 1e-12
+        assert rep["slack"] >= -1e-9
 
     def test_coincident_endpoints(self):
         cfg = qubit_config(n_steps=5, aa_mode="coherent", aa_swap_prob=0.7)
-        rep = bound_report(oracle_pair(cfg), 3, 3)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.slack >= -1e-9
+        rep = bound_member(oracle_pair(cfg), 3, 3)
+        assert rep["lhs"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["slack"] >= -1e-9
 
     def test_revival_is_bounded(self):
         cfg = qubit_config(n_steps=8, aa_mode="coherent", aa_swap_prob=1.0)
         pair = oracle_pair(cfg)
         s = nonmarkov.first_revival_step(nonmarkov.distinguishability_series(*pair))
         assert s is not None
-        rep = bound_report(pair, s, s + 1)
-        assert rep.lhs > 1e-6
-        assert rep.slack >= -1e-9
+        rep = bound_member(pair, s, s + 1)
+        assert rep["lhs"] > 1e-6
+        assert rep["slack"] >= -1e-9
 
     def test_exhaustive_family_holds(self):
         cfg = qubit_config(n_steps=6, aa_mode="coherent", aa_swap_prob=0.8)
-        reports = nonmarkov.all_pair_bound_reports(*oracle_pair(cfg))
-        assert len(reports) == 7 * 8 // 2
-        assert min(r.slack for r in reports) >= -1e-9
+        pair = oracle_pair(cfg)
+        family = pair_family(pair)
+        assert len(family) == 7 * 8 // 2
+        assert min(m["slack"] for m in family) >= -1e-9
+        found = assert_findings_match_reference(nonmarkov.distinguishability_series(*pair),
+                                                nonmarkov.bound_terms(*pair))
+        assert found["min_bound_slack"] >= -1e-9
+        assert found["min_revival_slack"] is not None
 
     def test_time_ordering_required(self):
         # every pair of collision indices with t >= s, once each, and no other
         cfg = qubit_config(n_steps=4, aa_mode="coherent", aa_swap_prob=1.0)
-        reports = nonmarkov.all_pair_bound_reports(*oracle_pair(cfg))
-        assert [(r.s, r.t) for r in reports] == \
+        assert [(m["s"], m["t"]) for m in pair_family(oracle_pair(cfg))] == \
             [(s, t) for s in range(5) for t in range(s, 5)]
+        # the family is visited s-major: of revivals of equal slack, (1, 2) comes
+        # before (1, 4), which comes before (3, 4)
+        dist = [0.0, 0.0, 0.5, 0.0, 0.5]
+        terms = [[0.0] * 3, [0.6, 0.0, 0.0], [0.0] * 3, [0.6, 0.0, 0.0], [0.0] * 3]
+        tightest = assert_findings_match_reference(dist, terms)["min_revival_slack"]
+        assert (tightest["s"], tightest["t"]) == (1, 2)
 
     def test_report_reads_the_series_and_the_terms(self):
         cfg = qubit_config(n_steps=5, aa_mode="incoherent", aa_swap_prob=0.6, rng_seed=2)
@@ -216,25 +263,51 @@ class TestBoundReports:
         terms = nonmarkov.bound_terms(ta, tb)
         assert terms.shape == (6, 3)
         assert np.array_equal(terms[0], np.zeros(3))
-        for r in nonmarkov.all_pair_bound_reports(ta, tb):
-            assert r.lhs == dist[r.t] - dist[r.s]
-            assert [r.rhs_env, r.rhs_corr_rho, r.rhs_corr_sigma] == terms[r.s].tolist()
+        for m in pair_family((ta, tb)):
+            assert m["lhs"] == dist[m["t"]] - dist[m["s"]]
+            assert [m["rhs_env"], m["rhs_corr_rho"], m["rhs_corr_sigma"]] == \
+                terms[m["s"]].tolist()
+        # the environment term compares the two recorded environment states,
+        # the correlation terms are the ones each run recorded
+        for s in range(1, 6):
+            assert terms[s, 0] == qstate.trace_distance(ta.env_states[s - 1],
+                                                        tb.env_states[s - 1])
+        assert terms[1:, 1].tolist() == ta.correlations.tolist()
+        assert terms[1:, 2].tolist() == tb.correlations.tolist()
+        assert_findings_match_reference(dist, terms)
 
     def test_tightest_revival_skips_the_tight_family(self):
-        BoundReport = nonmarkov.BoundReport
-        trivial = [BoundReport(0, 2, 0.5, 0.0, 0.0, 0.0),    # s = 0
-                   BoundReport(2, 2, 0.0, 0.1, 0.0, 0.0),    # t = s
-                   BoundReport(1, 3, 1e-12, 0.0, 0.0, 0.0)]  # rounding noise
-        genuine = [BoundReport(1, 2, 0.3, 0.5, 0.0, 0.0),    # slack 0.2
-                   BoundReport(2, 4, 0.2, 0.25, 0.0, 0.05)]  # slack 0.1
-        assert nonmarkov.tightest_revival(trivial) is None
-        assert nonmarkov.tightest_revival(trivial + genuine) is genuine[1]
+        # s = 0 revives by 0.5 with all terms 0; t = s; (1, 2) and (3, 4) revive
+        # only by rounding noise (1e-12)
+        trivial = [0.0, 0.5, 0.5 + 1e-12, 0.5, 0.5 + 1e-12]
+        terms = [[0.0] * 3] + [[0.1, 0.0, 0.0]] * 4
+        found = assert_findings_match_reference(trivial, terms)
+        assert found["min_revival_slack"] is None
+        assert found["max_revival_lhs"] == 0.5 + 1e-12
+        # genuine revivals: (1, 2) by 0.3 at slack 0.2, (3, 4) by 0.2 at slack 0.1
+        genuine = [0.0, 0.5, 0.8, 0.5, 0.7]
+        terms = [[0.0] * 3, [0.5, 0.0, 0.0], [0.0] * 3, [0.25, 0.0, 0.05], [0.0] * 3]
+        tightest = assert_findings_match_reference(genuine, terms)["min_revival_slack"]
+        assert (tightest["s"], tightest["t"]) == (3, 4)
+        assert tightest["slack"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arrays_match_the_reference_loop(self, seed):
+        # planted families with ties, rounding-level revivals, t = s and s = 0
+        # rows, on series of 1 to 9 points
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        dist = rng.choice([0.0, 0.3, 0.3 + 1e-12, 0.3 + 1e-9, 0.6], size=n)
+        terms = rng.choice([0.0, 0.1, 0.2, 1e-11], size=(n, 3))
+        terms[0] = 0.0
+        assert_findings_match_reference(dist, terms)
+        assert_findings_match_reference(dist.tolist(), terms.tolist())
 
     def test_windowed_backend_rejected(self):
         cfg = qubit_config(n_steps=4)
         ta, tb = run_paired(cfg, EXCITED, GROUND)
         with pytest.raises(ConfigError, match="full-backend"):
-            nonmarkov.all_pair_bound_reports(ta, tb)
+            nonmarkov.bound_terms(ta, tb)
         # one windowed member is enough to reject the pair
         fa, fb = oracle_pair(cfg)
         for pair in ((ta, fb), (fa, tb)):

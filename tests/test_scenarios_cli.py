@@ -109,7 +109,7 @@ def assert_writers_match_reference(tmp_path, traj, summary, rows=None):
 OUT_OF_RANGE = {
     "beta": -1.0, "beta_hot": math.nan, "beta_cold": math.inf, "beta_grid": [-1.0],
     "gamma": math.inf, "tau": -1.0, "tau_grid": [0.0], "total_time": 0.0,
-    "p_grid": [1.5], "modes": ["off"], "metric": "js", "window": 0,
+    "p_grid": [1.5], "modes": ["off"], "metric": "js", "window": 0, "theta": math.inf,
 }
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-17, 3.0]
@@ -226,6 +226,21 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (tmp_path / "thermalization_0.csv").exists()
         assert (tmp_path / "thermalization_0.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    below):
+        # --out names an existing file, or a directory below one
+        def never(*args):
+            raise AssertionError("the scenario ran")
+        monkeypatch.setattr(cli, "run_scenario", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        code = cli.main(["thermalization", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: cannot create --out {str(out)!r}: " in capsys.readouterr().err
+        assert taken.read_text() == ""
 
     def test_unknown_scenario_names_registry(self, capsys):
         code = cli.main(["warp_drive"])
@@ -355,7 +370,7 @@ class TestCli:
         code = cli.main(["thermalization", "--config", str(cfg),
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
-        assert "coupling" in capsys.readouterr().err
+        assert "parameter 'theta' must be finite, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_steps", [10.5, "10", True])
     def test_non_integer_n_steps_is_config_error(self, tmp_path, capsys, n_steps):
@@ -431,10 +446,21 @@ class TestCli:
         # scales near the float maximum: each overflowing product is named
         ("battery", {"omega": 1e308}, "'omega'"),
         ("battery", {"omega": -1e308}, "'omega'"),
-        ("battery", {"g": 1e308}, "coupling 1e+308"),
-        ("battery", {"g": -1e308}, "coupling -1e+308"),
-        ("two_qubit_local_global", {"g": 1e308}, "coupling 1e+308"),
-        ("two_qubit_local_global", {"g": -1e308}, "coupling -1e+308"),
+        ("battery", {"g": 1e308}, "the coupling of parameter 'g': collision Hamiltonian "
+         "of stream 0 overflows: coupling 1e+308"),
+        ("battery", {"g": -1e308}, "the coupling of parameter 'g': collision Hamiltonian "
+         "of stream 0 overflows: coupling -1e+308"),
+        ("two_qubit_local_global", {"g": 1e308}, "the coupling of parameter 'g': "
+         "collision Hamiltonian of stream 0 overflows: coupling 1e+308"),
+        ("two_qubit_local_global", {"g": -1e308}, "the coupling of parameter 'g': "
+         "collision Hamiltonian of stream 0 overflows: coupling -1e+308"),
+        ("landauer", {"g": math.inf}, "the coupling of parameter 'g'"),
+        # theta / tau overflows, though each is finite and in its range
+        ("thermalization", {"theta": 1e308, "tau": 1e-10},
+         "the coupling of parameters 'theta' / 'tau': collision Hamiltonian of stream 0 "
+         "overflows: coupling inf"),
+        ("nonmarkov_sweep", {"theta": -1e308, "tau": 1e-10},
+         "the coupling of parameters 'theta' / 'tau'"),
         ("two_qubit_local_global", {"J": 1e308}, "'J'"),
         ("two_qubit_local_global", {"J": -1e308}, "'J'"),
         # beta Q stays finite, beta Q / ln 2 does not
