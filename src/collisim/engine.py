@@ -6,7 +6,10 @@ fresh environmental units, optionally with ancilla-ancilla collisions
 the correlations left behind by each collision.
 
 A run propagates a stack of B initial system states at once, under one
-configuration and one coin sequence, and then accounts for it.
+configuration and one coin sequence, and then accounts for it: a set-up
+(validation, collision unitaries, step keys and maps), the propagation,
+and the accounting.  A pair scan sets up once for all its stacks and
+computes no ledger.
 
 Propagation stores the carried state before every step: the system, plus
 the last unit when unit-unit collisions are on (before the first step, a
@@ -39,7 +42,9 @@ renormalizes its carried state, and the full backend checks its joint
 state.  Accounting checks each step's state after collision and erasure,
 by one Cholesky factorization per block that computes spectra only when
 it fails, and then each reduced state's spectrum against the entropy
-code's clamp window.  ``_abort`` names the first failing step and stack member.
+code's clamp window.  A scan that computes no ledger checks only what its
+snapshots hold: each stack's carried states, once, for finiteness and the
+eigenvalue floor.  ``_abort`` names the first failing step and stack member.
 """
 
 from __future__ import annotations
@@ -552,12 +557,20 @@ def _account(cfg: CollisionConfig, maps, keys: np.ndarray,
     return ledger
 
 
-def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
-    """Propagate the (B, d_S, d_S) stack ``inits``, then account for it."""
+def _setup(cfg: CollisionConfig):
+    """Validate ``cfg`` and build what every run of it shares: the collision
+    unitaries, the step keys and the step maps."""
     cfg.validate()
     unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]
     keys = _step_keys(cfg)
-    maps = _maps(cfg, unitaries, keys)
+    return unitaries, keys, _maps(cfg, unitaries, keys)
+
+
+def _evolve(cfg: CollisionConfig, setup, inits):
+    """Propagate the (B, d_S, d_S) stack ``inits`` with the ``_setup`` of
+    ``cfg``.  Returns the carried states, the system snapshots and, for the
+    full backend, the units' states and the correlation terms of ``_grow``."""
+    unitaries, keys, maps = setup
     inits = np.array(inits, dtype=complex)
     dims = _carried_dims(cfg)
     # before the first step the carried unit is a fresh one that step ignores
@@ -573,9 +586,43 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
     if len(dims) > 1:
         snapshots = linalg.partial_trace(carried, dims, [0])
         snapshots[0] = inits
+    return carried, snapshots, envs, corr
+
+
+def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
+    """Propagate the (B, d_S, d_S) stack ``inits``, then account for it."""
+    setup = _setup(cfg)
+    _, keys, maps = setup
+    carried, snapshots, envs, corr = _evolve(cfg, setup, inits)
     ledger = _account(cfg, maps, keys, carried)
     return TrajectoryStack(config=cfg, ledger=dict(zip(LEDGER_FIELDS, ledger)),
                            snapshots=snapshots, env_states=envs, correlations=corr)
+
+
+def _checked_inits(cfg: CollisionConfig, inits) -> np.ndarray:
+    """``inits`` as a complex array, rejected unless it is a (B, d_S, d_S)
+    stack of density matrices."""
+    inits = np.asarray(inits, dtype=complex)
+    if inits.ndim != 3 or inits.shape[1:] != (cfg.system_dim, cfg.system_dim):
+        raise ConfigError(f"initial states must have shape (B, {cfg.system_dim}, "
+                          f"{cfg.system_dim}), got {inits.shape}")
+    return qstate.validate_density_matrix(inits)
+
+
+def _snapshot_stacks(cfg: CollisionConfig, stacks):
+    """Yield the system snapshots of each (B, d_S, d_S) stack of the
+    (R, B, d_S, d_S) ``stacks``, from one ``_setup`` of ``cfg`` and with no
+    ledger.  The initial states are checked as ``run_stack`` checks them,
+    all before the first run; each stack's carried states after steps
+    1..n once by ``_integrity``, which is all the snapshots need."""
+    stacks = np.asarray(stacks, dtype=complex)
+    _checked_inits(cfg, stacks.reshape((-1,) + stacks.shape[-2:]))
+    setup = _setup(cfg)
+    steps = np.arange(1, cfg.n_steps + 1)
+    for inits in stacks:
+        carried, snapshots = _evolve(cfg, setup, inits)[:2]
+        _integrity(carried[1:], steps)
+        yield snapshots
 
 
 def run(cfg: CollisionConfig) -> Trajectory:
@@ -590,12 +637,7 @@ def run_stack(cfg: CollisionConfig, inits) -> TrajectoryStack:
     the same coins, so the members share one channel realization;
     ``cfg.system_init`` is not used beyond validation.
     """
-    inits = np.asarray(inits, dtype=complex)
-    if inits.ndim != 3 or inits.shape[1:] != (cfg.system_dim, cfg.system_dim):
-        raise ConfigError(f"initial states must have shape (B, {cfg.system_dim}, "
-                          f"{cfg.system_dim}), got {inits.shape}")
-    qstate.validate_density_matrix(inits)
-    return _propagate(cfg, inits)
+    return _propagate(cfg, _checked_inits(cfg, inits))
 
 
 def run_paired(cfg: CollisionConfig, init_a: np.ndarray, init_b: np.ndarray):

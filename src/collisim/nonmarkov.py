@@ -9,10 +9,13 @@ plus the two system-environment correlation terms, which ``bound_terms``
 reads at every collision index from the record of the full-state oracle
 backend; ``bound_findings`` reduces the (s, t) family of bounds with arrays.
 
-The search for the most non-Markovian pair propagates each row of its
-Bloch grid (one value of cos theta) as a single stack through the
-collision loop, so every pair shares the channel realization, and scores
-all pairs of the row from one stacked distance series.
+The search for the most non-Markovian pair sets the collision loop up
+once, propagates each row of its Bloch grid (one value of cos theta) as a
+single stack, so every pair shares the channel realization, and scores
+all pairs of the row from one stacked distance series.  It computes no
+ledger: the BLP sum reads the system states alone, so each row's carried
+states are checked once, for finiteness and the eigenvalue floor, instead
+of the accounting's checks of every collision.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from . import qstate
-from .engine import CollisionConfig, Trajectory, run_stack
+from .engine import CollisionConfig, Trajectory, _snapshot_stacks
 from .errors import ConfigError
 
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
@@ -67,9 +70,13 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
     must name the same one.
 
     The grid is uniform in (cos theta, phi) to avoid pole clustering;
-    resolution 1 degenerates to exactly the (|0>, |1>) pair.  Each row of
-    the grid runs as one stack: its 2 res states followed by their
-    antipodes.  Pairs are visited row by row and a pair replaces the best
+    resolution 1 degenerates to exactly the (|0>, |1>) pair.  The scan
+    validates ``cfg`` and builds its unitaries and maps once; each row of
+    the grid then runs as one stack: its 2 res states followed by their
+    antipodes.  No ledger is computed.  Each row's carried states are
+    checked once, for finiteness and the eigenvalue floor; that is weaker
+    than the per-collision checks of an accounted run, and covers all the
+    scan reads.  Pairs are visited row by row and a pair replaces the best
     only when it scores strictly higher.
     Returns ((rho_a, rho_b), value).
     """
@@ -78,17 +85,21 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
     if metric not in (None, cfg.pair_metric):
         raise ConfigError(f"metric {metric!r} disagrees with the configuration's "
                           f"pair_metric {cfg.pair_metric!r}")
+    if isinstance(grid_resolution, bool) or \
+            not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:
+        raise ConfigError(f"grid_resolution must be an integer >= 1, "
+                          f"got {grid_resolution!r}")
     if grid_resolution == 1:
         u_vals, phi_vals = [1.0], [0.0]
     else:
         u_vals = np.linspace(1.0, 0.0, grid_resolution)  # antipodal pairs: u >= 0 suffices
         phi_vals = np.linspace(0.0, 2 * math.pi, 2 * grid_resolution, endpoint=False)
+    rows = [[antipodal_pair(math.acos(u), phi) for phi in phi_vals] for u in u_vals]
+    half = len(phi_vals)
+    stacks = [[a for a, _ in pairs] + [b for _, b in pairs] for pairs in rows]
     best, best_pair = -1.0, None
-    for u in u_vals:
-        pairs = [antipodal_pair(math.acos(u), phi) for phi in phi_vals]
-        stack = run_stack(cfg, [a for a, _ in pairs] + [b for _, b in pairs])
-        half = len(pairs)
-        series = qstate.state_distance(stack.snapshots[:, :half], stack.snapshots[:, half:],
+    for pairs, snapshots in zip(rows, _snapshot_stacks(cfg, stacks)):
+        series = qstate.state_distance(snapshots[:, :half], snapshots[:, half:],
                                        cfg.pair_metric, cfg.log_base)
         for pair, val in zip(pairs, blp_measure(series).tolist()):
             if val > best:
@@ -103,6 +114,10 @@ def bound_terms(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
     (n_steps + 1, 3) array; row 0 is zero, since no unit has collided yet."""
     if traj_a.env_states is None or traj_b.env_states is None:
         raise ConfigError("bound terms need the full-backend environment states")
+    for key in ("pair_metric", "log_base", "n_steps"):
+        a, b = getattr(traj_a.config, key), getattr(traj_b.config, key)
+        if a != b:
+            raise ConfigError(f"bound terms need one {key} for both runs, got {a!r} and {b!r}")
     metric, base = traj_a.config.pair_metric, traj_a.config.log_base
     terms = np.zeros((len(traj_a.env_states) + 1, 3))
     terms[1:, 0] = [qstate.state_distance(env_a, env_b, metric, base)

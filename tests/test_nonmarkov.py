@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collisim import linalg, nonmarkov, qstate
+from collisim import engine, linalg, nonmarkov, qstate
 from collisim.engine import (AncillaStream, CollisionConfig,
-                             partial_swap_interaction, run_paired)
-from collisim.errors import ConfigError
+                             partial_swap_interaction, run_paired, run_stack)
+from collisim.errors import ConfigError, IntegrityError
+from test_engine import BROKEN, CLAMPED, plant
 
 SZ = linalg.SIGMA_Z
 EXCITED = qstate.pure_state([1, 0])
@@ -164,6 +165,70 @@ class TestStackedPairScan:
                            "configuration's pair_metric 'jensen-shannon'"):
             nonmarkov.blp_optimize_pairs(cfg, "trace", 3)
 
+    @pytest.mark.parametrize("resolution", [0, -3, 2.5, True, "3", None])
+    def test_rejects_a_bad_grid_resolution_before_any_run(self, monkeypatch, resolution):
+        def no_run(*args):
+            raise AssertionError("a collision unitary was built")
+        monkeypatch.setattr(engine, "collision_unitary", no_run)
+        with pytest.raises(ConfigError, match=f"grid_resolution must be an integer >= 1, "
+                           f"got {resolution!r}"):
+            nonmarkov.blp_optimize_pairs(qubit_config(), grid_resolution=resolution)
+
+    def test_accepts_a_numpy_integer_resolution(self):
+        cfg = qubit_config(n_steps=6, aa_mode="coherent", aa_swap_prob=1.0)
+        (a, b), value = nonmarkov.blp_optimize_pairs(cfg, grid_resolution=np.int64(3))
+        (ea, eb), expected = nonmarkov.blp_optimize_pairs(cfg, grid_resolution=3)
+        assert value == expected and np.array_equal(a, ea) and np.array_equal(b, eb)
+
+
+class TestLedgerFreeScan:
+    """The scan sets the loop up once, computes no ledger and checks each
+    row's carried states once."""
+
+    @staticmethod
+    def config():
+        return qubit_config(n_steps=8, aa_mode="incoherent", aa_swap_prob=0.5, rng_seed=3)
+
+    def test_reads_no_ledger(self, monkeypatch):
+        expected = nonmarkov.blp_optimize_pairs(self.config(), grid_resolution=4)
+
+        def no_ledger(*args):
+            raise AssertionError("the scan accounted a ledger")
+        monkeypatch.setattr(engine, "_account", no_ledger)
+        (a, b), value = nonmarkov.blp_optimize_pairs(self.config(), grid_resolution=4)
+        assert value == expected[1]
+        assert np.array_equal(a, expected[0][0]) and np.array_equal(b, expected[0][1])
+
+    def test_sets_up_once_and_checks_each_row_once(self, monkeypatch):
+        calls = {"collision_unitary": 0, "_maps": 0, "_integrity": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(engine, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(engine, name, counted)
+        nonmarkov.blp_optimize_pairs(self.config(), grid_resolution=12)
+        assert calls == {"collision_unitary": 1, "_maps": 1, "_integrity": 12}
+
+    def test_broken_carried_state_names_step_and_member(self, monkeypatch):
+        cfg = qubit_config(n_steps=8)
+        plant(monkeypatch, 5, 1, BROKEN)
+        with pytest.raises(IntegrityError, match="lost positivity at step 5, stack member 1"):
+            nonmarkov.blp_optimize_pairs(cfg, grid_resolution=3)
+        # the accounted run of the scan's first row names the same step and member
+        row = [nonmarkov.antipodal_pair(0.0, phi)
+               for phi in np.linspace(0.0, 2 * math.pi, 6, endpoint=False)]
+        with pytest.raises(IntegrityError, match="at step 5, stack member 1"):
+            run_stack(cfg, [a for a, _ in row] + [b for _, b in row])
+
+    def test_check_is_weaker_than_the_accounting(self, monkeypatch):
+        # a state inside the PSD_ABORT floor but outside the entropy code's
+        # clamp window breaks only the ledger, which the scan does not compute
+        cfg = qubit_config(n_steps=8)
+        plant(monkeypatch, 5, 1, CLAMPED)
+        nonmarkov.blp_optimize_pairs(cfg, grid_resolution=3)
+        with pytest.raises(IntegrityError, match="reduced state broken at step 5"):
+            run_stack(cfg, [EXCITED, GROUND])
+
 
 def oracle_pair(cfg):
     """The paired full-backend run the bound is evaluated on."""
@@ -313,6 +378,15 @@ class TestBoundFindings:
         for pair in ((ta, fb), (fa, tb)):
             with pytest.raises(ConfigError, match="full-backend"):
                 nonmarkov.bound_terms(*pair)
+
+    @pytest.mark.parametrize("key,value", [("pair_metric", "jensen-shannon"),
+                                           ("log_base", math.e), ("n_steps", 4)])
+    def test_mismatched_pair_rejected(self, key, value):
+        cfg = qubit_config(n_steps=3)
+        fa, _ = oracle_pair(cfg)
+        _, fb = oracle_pair(replace(cfg, **{key: value}))
+        with pytest.raises(ConfigError, match=f"bound terms need one {key} for both runs"):
+            nonmarkov.bound_terms(fa, fb)
 
 
 class TestPrecursorSeries:
