@@ -22,9 +22,10 @@ with targets) and never lifted to the whole space.  At the start of a run
 each map is pushed once through that step, as superoperators on the
 vectorized carried state: one to the state after the system-unit
 collision, one to the fresh unit before it.  The ``windowed`` backend
-iterates their partial traces onto the carried factors, one matrix
-product per step on the vectorized stack; erasure of a carried unit's
-correlations, which is not linear, follows as an explicit step.  The
+iterates their partial traces onto the carried factors, a linear
+recurrence that it computes as a blocked scan: about 3 sqrt(n) batched
+products per run instead of one per step.  Erasure of a carried unit's
+correlations is not linear; a run with it goes step by step.  The
 ``full`` backend keeps every unit in one live joint state, the exact
 small-instance oracle; after every step it stores the carried part and
 what the backflow bound reads: each member's environment state and its
@@ -37,11 +38,11 @@ pass: one column per name in ``LEDGER_FIELDS`` (plus ``D_pair`` for
 paired runs).  One function serves both backends.  ``Trajectory.records``
 is a read-only view that builds ``CollisionRecord`` rows from the columns.
 
-Integrity: after every step the windowed backend hermitizes and
-renormalizes its carried state, and the full backend checks its joint
-state.  Accounting checks each step's state after collision and erasure,
-by one Cholesky factorization per block that computes spectra only when
-it fails, and then each reduced state's spectrum against the entropy
+Integrity: the windowed backend hermitizes and renormalizes every
+carried state it stores, and the full backend checks its joint state
+after every step.  Accounting checks each step's state after collision
+and erasure, by Cholesky factorizations that compute spectra only when
+they fail, and then each reduced state's spectrum against the entropy
 code's clamp window.  A scan that computes no ledger checks only what its
 snapshots hold: each stack's carried states, once, for finiteness and the
 eigenvalue floor.  ``_abort`` names the first failing step and stack member.
@@ -60,6 +61,7 @@ from .errors import ConfigError, IntegrityError
 PSD_ABORT = -1e-8   # eigenvalue floor beyond which a run aborts
 FULL_FACTOR_CAP = 10  # the full backend's joint dimension is at most 2**FULL_FACTOR_CAP
 LEDGER_BLOCK = 256  # states (steps x stack members) accounted at once: bounds memory
+MAX_RUN_BYTES = 2 ** 31  # the most one member of a run may store: _step_bytes per step
 AA_MODES = ("off", "coherent", "incoherent")
 # the per-collision quantities of a CollisionRecord, in declaration order
 LEDGER_FIELDS = ("E_S_pre", "E_S_post", "E_anc_pre", "E_anc_post", "Q", "W",
@@ -181,12 +183,12 @@ class CollisionConfig:
         if self.pair_metric not in qstate.METRICS:
             raise ConfigError(f"unknown pair_metric {self.pair_metric!r}, "
                               f"not in {qstate.METRICS}")
-        # a member's carried states, (n_steps + 1, d_c, d_c), must fit in one
-        # numpy array, which holds at most np.intp's maximum of bytes
-        state_bytes = math.prod(_carried_dims(self)) ** 2 * np.dtype(complex).itemsize
-        if (int(self.n_steps) + 1) * state_bytes > np.iinfo(np.intp).max:
-            raise ConfigError("n_steps is too large: the states of one member would "
-                              "exceed the largest numpy array")
+        # a member's carried states, snapshots and ledger, before anything is allocated
+        step_bytes = _step_bytes(self)
+        if (int(self.n_steps) + 1) * step_bytes > MAX_RUN_BYTES:
+            raise ConfigError(f"n_steps is too large: at {step_bytes} bytes per step for "
+                              f"one member's states, snapshots and ledger, a run may have "
+                              f"at most {MAX_RUN_BYTES // step_bytes - 1} steps")
         # the ledger sums beta Q / ln(base) over the run, and |Q| <= the energy spread
         for st in (st for st in self.streams if st.beta is not None):
             low, high = np.linalg.eigvalsh(st.hamiltonian)[[0, -1]].tolist()
@@ -355,15 +357,34 @@ def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     """Check finiteness, hermitize, check the eigenvalue floor, renormalize.
 
     ``joint`` is one state or a stack (B, d, d) at step ``steps``, or a
-    block (n, B, d, d) of stacks at the n steps ``steps``, checked by a
-    single Cholesky factorization of joint - PSD_ABORT I.  It exists
-    exactly when every smallest eigenvalue exceeds PSD_ABORT; only when it
-    fails are the spectra computed, so rounding at the boundary never
-    aborts a run.  An abort names the first failing step and stack member.
+    block (n, B, d, d) of stacks at the n steps ``steps``.  A block of more
+    than ``LEDGER_BLOCK`` states goes through ``_renormalized`` in step-major
+    slices of at most that many states (or one step), each written into
+    the one result array, so the temporaries stay bounded whatever the
+    block's size.  Anything smaller goes whole, with no result array set up
+    first: freeing the check's temporaries above one hands their pages back
+    to the system, so the full backend's next 512-dim step faults them in
+    again.  An abort names the first failing step and stack member.
     """
     finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
         _abort("state has non-finite entries", ~finite, steps)
+    if joint.ndim < 4 or joint.shape[0] * joint.shape[1] <= LEDGER_BLOCK:
+        return _renormalized(joint, steps)
+    out = np.empty(joint.shape, joint.dtype)
+    size = max(1, LEDGER_BLOCK // joint.shape[1])
+    for start in range(0, len(joint), size):
+        out[start:start + size] = _renormalized(joint[start:start + size],
+                                                steps[start:start + size])
+    return out
+
+
+def _renormalized(joint: np.ndarray, steps) -> np.ndarray:
+    """Hermitize ``joint``, check its eigenvalue floor and renormalize it,
+    for ``_integrity``: one Cholesky factorization of joint - PSD_ABORT I.
+    A factor exists exactly when every smallest eigenvalue exceeds
+    PSD_ABORT; only when it fails are the spectra computed, so rounding at
+    the boundary never aborts a run."""
     joint = linalg.hermitize(joint)
     try:
         np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
@@ -390,6 +411,15 @@ def _step_keys(cfg: CollisionConfig) -> np.ndarray:
     if cfg.aa_mode == "incoherent":  # drawn only where read: numpy.random costs 6 MB
         acts &= np.random.default_rng(cfg.rng_seed).random(cfg.n_steps) < cfg.aa_swap_prob
     return keys + len(cfg.streams) * acts
+
+
+def _step_bytes(cfg: CollisionConfig) -> int:
+    """The bytes one member of a run stores per step: its carried state, its
+    system snapshot when a unit is carried as well, and a ledger row."""
+    dims = _carried_dims(cfg)
+    states = math.prod(dims) ** 2 + (cfg.system_dim ** 2 if len(dims) > 1 else 0)
+    return states * np.dtype(complex).itemsize \
+        + (len(LEDGER_FIELDS) + 1) * np.dtype(float).itemsize
 
 
 def _carried_dims(cfg: CollisionConfig) -> list[int]:
@@ -454,19 +484,44 @@ def _apply(m: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
     """The windowed backend: fill ``carried[1:]`` from ``carried[0]``.
 
-    Each step applies the transfer map of its key, the partial trace of
-    its ``after`` map onto the factors the next step carries; erasure,
-    when a unit is carried, is the one nonlinear step.
+    Each step applies the transfer map T of its key, the partial trace of
+    its ``after`` map onto the factors the next step carries, and stores
+    the result hermitized and renormalized.  Erasure of a carried unit's
+    correlations (``erasure_lambda < 1``) is not linear: such runs go step
+    by step.  Every other run is the linear recurrence x_{k+1} = x_k T[key_k]
+    on the row-vectorized states, a blocked scan over chunks of
+    b = ceil(sqrt(n)) steps: the product of each whole chunk's maps, the
+    state at each chunk's start, then all chunks at once, one position at
+    a time.  That is about 3 b batched products instead of n, each a row
+    vector times a matrix as in ``_apply``, so a state's image does not
+    depend on the stack it is in.
     """
     dims = _carried_dims(cfg)
     transfer = [linalg.partial_trace(after, out, _kept(cfg, out)) for after, _, out in maps]
-    c = carried[0]
-    for k, key in enumerate(keys.tolist()):
-        c = _apply(transfer[key], c)
-        if len(dims) > 1:  # a carried unit: erasure is the one nonlinear step
-            c = erase_correlations(c, dims, cfg.erasure_lambda)
-        c = linalg.hermitize(c)
-        carried[k + 1] = c = c / c.trace(axis1=1, axis2=2).real[:, None, None]
+    if len(dims) > 1 and cfg.erasure_lambda < 1.0:
+        c = carried[0]
+        for k, key in enumerate(keys.tolist()):
+            c = erase_correlations(_apply(transfer[key], c), dims, cfg.erasure_lambda)
+            c = linalg.hermitize(c)
+            carried[k + 1] = c = c / c.trace(axis1=1, axis2=2).real[:, None, None]
+        return
+    n, m, members = len(keys), len(transfer[0]), carried.shape[1]
+    t = np.array(transfer).reshape(-1, m, m)
+    b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    whole = keys[:(n - 1) // b * b].reshape(-1, b)  # every chunk but the last
+    chunks = t[whole[:, 0]]
+    for i in range(1, b):
+        chunks = chunks @ t[whole[:, i]]
+    y = np.empty((len(whole) + 1, members, 1, m), dtype=complex)
+    y[0] = carried[0].reshape(members, 1, m)
+    for j, chunk in enumerate(chunks):
+        y[j + 1] = y[j] @ chunk
+    for i in range(b):
+        at = keys[i::b]  # the key of position i in each chunk that reaches it
+        x = linalg.hermitize((y[:len(at)] @ t[at][:, None]).reshape(
+            (len(at),) + carried.shape[1:]))
+        carried[1 + i::b] = x = x / x.trace(axis1=2, axis2=3).real[..., None, None]
+        y = x.reshape(len(at), members, 1, m)
 
 
 def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,

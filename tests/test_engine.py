@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
@@ -426,6 +427,23 @@ class TestConfigValidation:
     def test_numpy_integer_n_steps_accepted(self):
         qubit_config(n_steps=np.int64(3)).validate()
 
+    def test_run_too_large_to_store_is_rejected_before_anything_is_built(self, monkeypatch):
+        # a qubit run of 10**9 steps would store about 176 GB; none of it is made
+        def unbuilt(*args):
+            raise AssertionError("a collision unitary was built")
+        monkeypatch.setattr(engine, "collision_unitary", unbuilt)
+        with pytest.raises(ConfigError, match="n_steps is too large: at 176 bytes per step"):
+            run(qubit_config(n_steps=10**9))
+
+    @pytest.mark.parametrize("mode", ["off", "coherent"])
+    def test_largest_storable_run_is_accepted(self, mode):
+        # validation alone: neither run is allocated
+        cfg = qubit_config(aa_mode=mode, aa_swap_prob=0.5)
+        limit = engine.MAX_RUN_BYTES // engine._step_bytes(cfg) - 1
+        replace(cfg, n_steps=limit).validate()
+        with pytest.raises(ConfigError, match=f"at most {limit} steps"):
+            replace(cfg, n_steps=limit + 1).validate()
+
     def test_aa_needs_single_stream(self):
         h = SZ / 2
         stream = AncillaStream(2, h, qstate.thermal_state(h, 1.0), beta=1.0)
@@ -515,6 +533,36 @@ class TestIntegrity:
         out = engine._integrity(stack, 0)
         assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-14, rtol=0)
 
+    def test_temporaries_stay_bounded(self):
+        # a pair scan's row: the carried states of 30 steps of 48 members
+        rng = np.random.default_rng(7)
+        block = np.array([random_density_matrix(rng, 4)
+                          for _ in range(30 * 48)]).reshape(30, 48, 4, 4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = engine._integrity(block, np.arange(1, 31))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(out, block, atol=1e-15, rtol=0)
+        # the result, plus slices of at most LEDGER_BLOCK states
+        assert peak < 2 * block.nbytes
+
+    def test_first_failing_step_across_slices(self):
+        # 90 steps of 3 members: both failures lie in the second slice of
+        # LEDGER_BLOCK states, and the first names its step and member
+        rng = np.random.default_rng(8)
+        block = np.array([random_density_matrix(rng, 2)
+                          for _ in range(90 * 3)]).reshape(90, 3, 2, 2)
+        assert engine.LEDGER_BLOCK <= 88 * 3 + 2 < 2 * engine.LEDGER_BLOCK
+        block[88, 2], block[89, 0] = BROKEN, state_with_min_eig(-1e-5, dim=2, trace=1.0)
+        with pytest.raises(IntegrityError, match=r"at step 89, stack member 2: min "
+                                                 r"eigenvalue -1e-06") as caught:
+            engine._integrity(block, np.arange(1, 91))
+        assert caught.value.step == 89
+
 
 def account(cfg, carried):
     """The deferred accounting of ``cfg`` over the carried states ``carried``."""
@@ -594,6 +642,92 @@ class TestStepMaps:
     def test_two_qubit_system(self):
         p = dict(scenarios.TWO_QUBIT_DEFAULTS, n_steps=4)
         self.assert_maps_match(scenarios._two_qubit_config(p, 0, 2.0), 2)
+
+
+def reference_iterate(cfg, maps, keys, carried):
+    """The windowed backend one step at a time, as ``engine._iterate`` ran
+    before the blocked scan: the reference the scan is checked against."""
+    dims = engine._carried_dims(cfg)
+    transfer = [linalg.partial_trace(after, out, engine._kept(cfg, out))
+                for after, _, out in maps]
+    c = carried[0]
+    for k, key in enumerate(keys.tolist()):
+        c = engine._apply(transfer[key], c)
+        if len(dims) > 1:
+            c = erase_correlations(c, dims, cfg.erasure_lambda)
+        c = linalg.hermitize(c)
+        carried[k + 1] = c = c / c.trace(axis1=1, axis2=2).real[:, None, None]
+
+
+def scan_inputs(cfg, members):
+    """What ``engine._iterate`` takes for a random stack of ``members``: the
+    maps, the step keys, and the carried states with only the first filled."""
+    _, keys, maps = engine._setup(cfg)
+    first = random_stack(np.random.default_rng(members), n=members)
+    if len(engine._carried_dims(cfg)) > 1:
+        first = linalg.kron(first, cfg.streams[0].init_state)
+    carried = np.empty((cfg.n_steps + 1,) + first.shape, dtype=complex)
+    carried[0] = first
+    return maps, keys, carried
+
+
+def iterated(cfg, members, iterate):
+    """The carried states that ``iterate`` fills from ``scan_inputs``."""
+    maps, keys, carried = scan_inputs(cfg, members)
+    iterate(cfg, maps, keys, carried)
+    return carried
+
+
+SCAN_CHANNELS = {
+    "one stream": lambda n: qubit_config(theta=0.8, n_steps=n),
+    "two streams": lambda n: replace(two_stream_config(), n_steps=n),
+    "coherent": lambda n: qubit_config(theta=0.8, n_steps=n, aa_mode="coherent",
+                                       aa_swap_prob=0.6),
+    "incoherent": lambda n: qubit_config(theta=0.8, n_steps=n, aa_mode="incoherent",
+                                         aa_swap_prob=0.5, rng_seed=11),
+}
+
+
+class TestBlockedScan:
+    """The windowed backend's blocked scan gives the step-by-step loop's
+    carried states; erasure of a carried unit still goes step by step."""
+
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("channel", list(SCAN_CHANNELS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 4000])
+    def test_matches_the_step_by_step_loop(self, n, channel, members):
+        cfg = SCAN_CHANNELS[channel](n)
+        scan = iterated(cfg, members, engine._iterate)
+        assert np.max(np.abs(scan - iterated(cfg, members, reference_iterate))) <= 1e-13
+        # every stored state hermitized and renormalized
+        assert np.array_equal(scan[1:], linalg.hermitize(scan[1:]))
+        assert np.max(np.abs(np.trace(scan, axis1=2, axis2=3) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("channel", ["coherent", "incoherent"])
+    @pytest.mark.parametrize("n", [1, 17, 200])
+    def test_erasure_of_a_carried_unit_is_the_loop_bitwise(self, n, channel, members):
+        cfg = replace(SCAN_CHANNELS[channel](n), erasure_lambda=0.7)
+        assert np.array_equal(iterated(cfg, members, engine._iterate),
+                              iterated(cfg, members, reference_iterate))
+
+    @staticmethod
+    def hermitize_calls(monkeypatch, cfg):
+        maps, keys, carried = scan_inputs(cfg, 2)
+        calls, hermitize = [], linalg.hermitize
+        monkeypatch.setattr(linalg, "hermitize", lambda a: calls.append(1) or hermitize(a))
+        engine._iterate(cfg, maps, keys, carried)
+        return len(calls)
+
+    def test_scan_takes_order_sqrt_n_steps(self, monkeypatch):
+        n = 4000
+        calls = self.hermitize_calls(monkeypatch, SCAN_CHANNELS["two streams"](n))
+        assert calls <= 3 * math.ceil(math.sqrt(n))
+
+    def test_erasure_takes_one_step_per_collision(self, monkeypatch):
+        n = 4000
+        cfg = replace(SCAN_CHANNELS["coherent"](n), erasure_lambda=0.7)
+        assert self.hermitize_calls(monkeypatch, cfg) == n
 
 
 BROKEN = np.diag([1.0 + 1e-6, -1e-6])     # fails the PSD_ABORT floor

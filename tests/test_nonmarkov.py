@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collisim import engine, linalg, nonmarkov, qstate
+from collisim import engine, linalg, nonmarkov, qstate, scenarios
 from collisim.engine import (AncillaStream, CollisionConfig,
                              partial_swap_interaction, run_paired, run_stack)
 from collisim.errors import ConfigError, IntegrityError
@@ -416,3 +416,30 @@ class TestPrecursorSeries:
         assert s is not None and s >= 1
         total = env + c_a + c_b
         assert total[s] > 1e-6
+
+
+class TestWindowedAgainstOracle:
+    """On every distinct channel of the default sweep the windowed backend
+    gives the full backend's snapshots and ledger over the oracle's steps."""
+
+    def test_default_sweep(self, monkeypatch):
+        pairs = []
+
+        def recorded(cfg, init_a, init_b):
+            pairs.append((cfg, run_paired(cfg, init_a, init_b)))
+            return pairs[-1][1]
+        monkeypatch.setattr(scenarios, "run_paired", recorded)
+        scenarios.run_scenario("nonmarkov_sweep")
+        windowed = {(cfg.aa_mode, cfg.aa_swap_prob): pair for cfg, pair in pairs
+                    if cfg.backend == "windowed"}
+        oracles = [(cfg, pair) for cfg, pair in pairs if cfg.backend == "full"]
+        assert len(oracles) == len(windowed) == 8
+        for cfg, oracle in oracles:
+            n = cfg.n_steps
+            for full, window in zip(oracle, windowed[cfg.aa_mode, cfg.aa_swap_prob]):
+                assert np.max(np.abs(window.snapshots[:n + 1] - full.snapshots)) <= 1e-13
+                assert set(window.ledger) == set(full.ledger)
+                for name, column in full.ledger.items():
+                    # an infinite entry agrees with the same infinity only
+                    assert np.isclose(column, window.ledger[name][:n], rtol=0,
+                                      atol=1e-13).all(), (cfg.aa_mode, cfg.aa_swap_prob, name)

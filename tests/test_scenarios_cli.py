@@ -273,6 +273,18 @@ class TestCli:
         assert cli.main(["thermalization", "--config", str(cfg)]) == cli.EXIT_CONFIG
         assert "cannot parse config" in capsys.readouterr().err
 
+    def test_run_too_large_to_store_exits_before_anything_is_built(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # a qubit run of 10**9 steps would store about 176 GB; none of it is made
+        def unbuilt(*args):
+            raise AssertionError("a collision unitary was built")
+        monkeypatch.setattr(engine, "collision_unitary", unbuilt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"n_steps": 10**9}}))
+        assert cli.main(["thermalization", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "config error: n_steps is too large" in capsys.readouterr().err
+
     def test_non_convergence_exit(self, tmp_path):
         # far too few collisions for a steady state
         cfg = tmp_path / "cfg.json"
