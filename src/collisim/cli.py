@@ -72,8 +72,6 @@ def main(argv=None) -> int:
     try:
         doc = _load_config(args.config) if args.config else {}
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"config 'seed' must be an integer, got {seed!r}")
         emit = args.emit or doc.get("emit", "csv")
         if emit not in ("csv", "json", "both"):
             raise ConfigError(f"unknown emit mode {emit!r}")

@@ -38,14 +38,15 @@ pass: one column per name in ``LEDGER_FIELDS`` (plus ``D_pair`` for
 paired runs).  One function serves both backends.  ``Trajectory.records``
 is a read-only view that builds ``CollisionRecord`` rows from the columns.
 
-Integrity: the windowed backend hermitizes and renormalizes every
-carried state it stores, and the full backend checks its joint state
-after every step.  Accounting checks each step's state after collision
-and erasure, by Cholesky factorizations that compute spectra only when
-they fail, and then each reduced state's spectrum against the entropy
-code's clamp window.  A scan that computes no ledger checks only what its
-snapshots hold: each stack's carried states, once, for finiteness and the
-eigenvalue floor.  ``_abort`` names the first failing step and stack member.
+Integrity: every state is checked once where it is stored, by
+``_integrity``: finiteness and the eigenvalue floor (a Cholesky
+factorization that computes spectra only when it fails), then it is
+hermitized and renormalized.  The windowed backend checks each carried
+state, the full backend its joint state after every step.  Accounting
+adds its own checks: each step's state after collision and erasure, and
+each reduced state's spectrum against the entropy code's clamp window.  A
+scan that computes no ledger has only the propagation's check, weaker than
+the accounting's.  ``_abort`` names the first failing step and stack member.
 """
 
 from __future__ import annotations
@@ -354,37 +355,19 @@ def _abort(what: str, bad: np.ndarray, steps, detail: str = "", values=None):
 
 
 def _integrity(joint: np.ndarray, steps) -> np.ndarray:
-    """Check finiteness, hermitize, check the eigenvalue floor, renormalize.
+    """The check of every state before it is stored: finiteness, then
+    hermitize, then the eigenvalue floor, then renormalize.
 
     ``joint`` is one state or a stack (B, d, d) at step ``steps``, or a
-    block (n, B, d, d) of stacks at the n steps ``steps``.  A block of more
-    than ``LEDGER_BLOCK`` states goes through ``_renormalized`` in step-major
-    slices of at most that many states (or one step), each written into
-    the one result array, so the temporaries stay bounded whatever the
-    block's size.  Anything smaller goes whole, with no result array set up
-    first: freeing the check's temporaries above one hands their pages back
-    to the system, so the full backend's next 512-dim step faults them in
-    again.  An abort names the first failing step and stack member.
+    block (n, B, d, d) of stacks at the n steps ``steps``.  The floor is one
+    Cholesky factorization of joint - PSD_ABORT I, which exists exactly when
+    every smallest eigenvalue exceeds PSD_ABORT; only when it fails are the
+    spectra computed, so rounding at the boundary never aborts a run.  An
+    abort names the first failing step and stack member.
     """
     finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
         _abort("state has non-finite entries", ~finite, steps)
-    if joint.ndim < 4 or joint.shape[0] * joint.shape[1] <= LEDGER_BLOCK:
-        return _renormalized(joint, steps)
-    out = np.empty(joint.shape, joint.dtype)
-    size = max(1, LEDGER_BLOCK // joint.shape[1])
-    for start in range(0, len(joint), size):
-        out[start:start + size] = _renormalized(joint[start:start + size],
-                                                steps[start:start + size])
-    return out
-
-
-def _renormalized(joint: np.ndarray, steps) -> np.ndarray:
-    """Hermitize ``joint``, check its eigenvalue floor and renormalize it,
-    for ``_integrity``: one Cholesky factorization of joint - PSD_ABORT I.
-    A factor exists exactly when every smallest eigenvalue exceeds
-    PSD_ABORT; only when it fails are the spectra computed, so rounding at
-    the boundary never aborts a run."""
     joint = linalg.hermitize(joint)
     try:
         np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
@@ -486,15 +469,17 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
 
     Each step applies the transfer map T of its key, the partial trace of
     its ``after`` map onto the factors the next step carries, and stores
-    the result hermitized and renormalized.  Erasure of a carried unit's
-    correlations (``erasure_lambda < 1``) is not linear: such runs go step
-    by step.  Every other run is the linear recurrence x_{k+1} = x_k T[key_k]
-    on the row-vectorized states, a blocked scan over chunks of
-    b = ceil(sqrt(n)) steps: the product of each whole chunk's maps, the
-    state at each chunk's start, then all chunks at once, one position at
-    a time.  That is about 3 b batched products instead of n, each a row
-    vector times a matrix as in ``_apply``, so a state's image does not
-    depend on the stack it is in.
+    the result through ``_integrity``, which names it by its index in
+    ``carried``.  Erasure of a carried unit's correlations
+    (``erasure_lambda < 1``) is not linear: such runs go step by step.
+    Every other run is the linear recurrence x_{k+1} = x_k T[key_k] on the
+    row-vectorized states, a blocked scan over chunks of b = ceil(sqrt(n))
+    steps: the product of each whole chunk's maps, the state at each
+    chunk's start, then all chunks at once, one position at a time, each
+    position's states checked together (so an abort names the first
+    failing chunk of the first position that fails).  That is about 3 b
+    batched products instead of n, each a row vector times a matrix as in
+    ``_apply``, so a state's image does not depend on the stack it is in.
     """
     dims = _carried_dims(cfg)
     transfer = [linalg.partial_trace(after, out, _kept(cfg, out)) for after, _, out in maps]
@@ -502,8 +487,7 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
         c = carried[0]
         for k, key in enumerate(keys.tolist()):
             c = erase_correlations(_apply(transfer[key], c), dims, cfg.erasure_lambda)
-            c = linalg.hermitize(c)
-            carried[k + 1] = c = c / c.trace(axis1=1, axis2=2).real[:, None, None]
+            carried[k + 1] = c = _integrity(c, k + 1)
         return
     n, m, members = len(keys), len(transfer[0]), carried.shape[1]
     t = np.array(transfer).reshape(-1, m, m)
@@ -518,9 +502,8 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
         y[j + 1] = y[j] @ chunk
     for i in range(b):
         at = keys[i::b]  # the key of position i in each chunk that reaches it
-        x = linalg.hermitize((y[:len(at)] @ t[at][:, None]).reshape(
-            (len(at),) + carried.shape[1:]))
-        carried[1 + i::b] = x = x / x.trace(axis1=2, axis2=3).real[..., None, None]
+        x = (y[:len(at)] @ t[at][:, None]).reshape((len(at),) + carried.shape[1:])
+        carried[1 + i::b] = x = _integrity(x, np.arange(1 + i, n + 1, b))
         y = x.reshape(len(at), members, 1, m)
 
 
@@ -668,16 +651,13 @@ def _snapshot_stacks(cfg: CollisionConfig, stacks):
     """Yield the system snapshots of each (B, d_S, d_S) stack of the
     (R, B, d_S, d_S) ``stacks``, from one ``_setup`` of ``cfg`` and with no
     ledger.  The initial states are checked as ``run_stack`` checks them,
-    all before the first run; each stack's carried states after steps
-    1..n once by ``_integrity``, which is all the snapshots need."""
+    all before the first run, and the propagation checks every carried
+    state it stores."""
     stacks = np.asarray(stacks, dtype=complex)
     _checked_inits(cfg, stacks.reshape((-1,) + stacks.shape[-2:]))
     setup = _setup(cfg)
-    steps = np.arange(1, cfg.n_steps + 1)
     for inits in stacks:
-        carried, snapshots = _evolve(cfg, setup, inits)[:2]
-        _integrity(carried[1:], steps)
-        yield snapshots
+        yield _evolve(cfg, setup, inits)[1]
 
 
 def run(cfg: CollisionConfig) -> Trajectory:

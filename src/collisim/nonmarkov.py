@@ -13,9 +13,10 @@ The search for the most non-Markovian pair sets the collision loop up
 once, propagates each row of its Bloch grid (one value of cos theta) as a
 single stack, so every pair shares the channel realization, and scores
 all pairs of the row from one stacked distance series.  It computes no
-ledger: the BLP sum reads the system states alone, so each row's carried
-states are checked once, for finiteness and the eigenvalue floor, instead
-of the accounting's checks of every collision.
+ledger: the BLP sum reads the system states alone, so its only check is
+the propagation's own, of each carried state as it is stored, for
+finiteness and the eigenvalue floor; the accounting's checks of every
+collision are not run.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
     resolution 1 degenerates to exactly the (|0>, |1>) pair.  The scan
     validates ``cfg`` and builds its unitaries and maps once; each row of
     the grid then runs as one stack: its 2 res states followed by their
-    antipodes.  No ledger is computed.  Each row's carried states are
-    checked once, for finiteness and the eigenvalue floor; that is weaker
-    than the per-collision checks of an accounted run, and covers all the
-    scan reads.  Pairs are visited row by row and a pair replaces the best
-    only when it scores strictly higher.
+    antipodes.  No ledger is computed.  The propagation checks each
+    carried state once as it stores it, for finiteness and the eigenvalue
+    floor; that is weaker than the per-collision checks of an accounted
+    run, and covers all the scan reads.  Pairs are visited row by row and
+    a pair replaces the best only when it scores strictly higher.
     Returns ((rho_a, rho_b), value).
     """
     if cfg.system_dim != 2:

@@ -419,6 +419,10 @@ def scenario_continuous_limit(p: dict, seed: int, log_base: float):
     mask = pop_fine > 1e-12
     rate = 0.0
     if p["gamma"] > 0:
+        if mask.sum() < 2:  # a full swap empties the excited state in one collision
+            raise ConfigError(f"gamma {p['gamma']!r} over the finest tau_grid step "
+                              f"{min(p['tau_grid'])!r} leaves {int(mask.sum())} populated "
+                              f"point(s) to fit the decay rate; the fit needs 2")
         rate = float(-np.polyfit(t_fine[mask], np.log(pop_fine[mask]), 1)[0])
     deviations = []
     for tau in p["tau_grid"]:
@@ -459,9 +463,12 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
     """Run scenario ``name`` with its defaults updated by ``overrides``.
 
     The summary opens with the merged parameters, the seed and the log
-    base, followed by the scenario's findings.  An unknown ``name`` raises
-    ``KeyError``.
+    base, followed by the scenario's findings.  A ``seed`` that is not an
+    integer >= 0 is rejected before any configuration is built.  An unknown
+    ``name`` raises ``KeyError``.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     p = _merge(DEFAULTS[name], overrides or {}, name)
     findings, traj = SCENARIOS[name](p, seed, log_base)
     return ScenarioResult(name, {"params": p, "seed": seed, "log_base": log_base,

@@ -13,16 +13,26 @@ settings.load_profile("tier1")
 
 def capture_joints(monkeypatch) -> dict:
     """Filled by the full-backend runs that follow: the (B, D, D) joint state
-    after n collisions, keyed by n, as ``engine._integrity`` returns it to the
-    propagation; the first run's, when several runs follow."""
-    joints, integrity = {}, engine._integrity
+    after n collisions, keyed by n, as ``engine._integrity`` returns it to
+    ``engine._grow``; the first run's, when several runs follow.  The checks
+    of the windowed backend and of the accounting are not recorded."""
+    joints, integrity, grow = {}, engine._integrity, engine._grow
+    growing = []
 
     def capture(joint, steps):
         out = integrity(joint, steps)
-        if isinstance(steps, int):  # a propagation step, not an accounting block
+        if growing:
             joints.setdefault(steps + 1, out)
         return out
+
+    def captured_grow(*args):
+        growing.append(True)
+        try:
+            return grow(*args)
+        finally:
+            growing.pop()
     monkeypatch.setattr(engine, "_integrity", capture)
+    monkeypatch.setattr(engine, "_grow", captured_grow)
     return joints
 
 

@@ -181,9 +181,23 @@ class TestStackedPairScan:
         assert value == expected and np.array_equal(a, ea) and np.array_equal(b, eb)
 
 
+def plant_checked(monkeypatch, step, member, state):
+    """Make the propagation's check receive ``state`` as the carried state of
+    stack member ``member`` at step ``step``, in place of the propagated one."""
+    integrity = engine._integrity
+
+    def planted(joint, steps):
+        at = np.flatnonzero(np.atleast_1d(steps) == step)
+        if at.size and joint.shape[-2:] == state.shape:  # not an accounted state
+            joint = joint.copy()
+            joint.reshape((-1,) + joint.shape[-3:])[at[0], member] = state
+        return integrity(joint, steps)
+    monkeypatch.setattr(engine, "_integrity", planted)
+
+
 class TestLedgerFreeScan:
-    """The scan sets the loop up once, computes no ledger and checks each
-    row's carried states once."""
+    """The scan sets the loop up once, computes no ledger, and has the
+    propagation check each carried state once as it stores it."""
 
     @staticmethod
     def config():
@@ -199,19 +213,30 @@ class TestLedgerFreeScan:
         assert value == expected[1]
         assert np.array_equal(a, expected[0][0]) and np.array_equal(b, expected[0][1])
 
-    def test_sets_up_once_and_checks_each_row_once(self, monkeypatch):
-        calls = {"collision_unitary": 0, "_maps": 0, "_integrity": 0}
+    def test_sets_up_once_and_checks_each_state_once(self, monkeypatch):
+        calls = {"collision_unitary": 0, "_maps": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(engine, name)):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(engine, name, counted)
+        checked, integrity = [], engine._integrity
+
+        def check(joint, steps):
+            checked.append(np.atleast_1d(steps).tolist())
+            assert joint.shape[:2] == (len(checked[-1]), 48)  # every member of a row
+            return integrity(joint, steps)
+        monkeypatch.setattr(engine, "_integrity", check)
         nonmarkov.blp_optimize_pairs(self.config(), grid_resolution=12)
-        assert calls == {"collision_unitary": 1, "_maps": 1, "_integrity": 12}
+        assert calls == {"collision_unitary": 1, "_maps": 1}
+        # the states after steps 1..8 of each of the 12 rows, none twice, and
+        # no call receives a whole run
+        assert sorted(sum(checked, [])) == sorted(list(range(1, 9)) * 12)
+        assert max(map(len, checked)) < 8
 
     def test_broken_carried_state_names_step_and_member(self, monkeypatch):
         cfg = qubit_config(n_steps=8)
-        plant(monkeypatch, 5, 1, BROKEN)
+        plant_checked(monkeypatch, 5, 1, BROKEN)
         with pytest.raises(IntegrityError, match="lost positivity at step 5, stack member 1"):
             nonmarkov.blp_optimize_pairs(cfg, grid_resolution=3)
         # the accounted run of the scan's first row names the same step and member

@@ -71,6 +71,15 @@ class TestRunner:
             ("params", params), ("seed", 3), ("log_base", math.e)]
         assert result.trajectory.config.rng_seed == 3
 
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+    def test_bad_seed_is_named_before_any_config(self, monkeypatch, name, seed):
+        def no_config(*args, **kwargs):
+            raise AssertionError("a configuration was built")
+        monkeypatch.setattr(scenarios, "CollisionConfig", no_config)
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
+            scenarios.run_scenario(name, SMALL[name], seed=seed)
+
 
 def reference_csv(rows, path):
     """The CSV writer formatting one cell at a time: the oracle for its bytes."""
@@ -492,6 +501,10 @@ class TestCli:
         # the tau-grid coupling sqrt(gamma * tau) / tau overflows through gamma
         ("continuous_limit", {"gamma": 1e308, "tau_grid": [10.0], "total_time": 40.0},
          "gamma 1e+308"),
+        # gamma = (pi/2)^2 / 0.0125: a full swap on the finest default step
+        # empties the excited state in one collision, leaving one point to fit
+        ("continuous_limit", {"gamma": 197.39208802178717},
+         "gamma 197.39208802178717 over the finest tau_grid step 0.0125"),
     ])
     def test_malformed_override_is_config_error(self, tmp_path, capsys, scenario,
                                                 overrides, key):
@@ -633,6 +646,12 @@ class TestCli:
         code = cli.main(["thermalization", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == cli.EXIT_INTEGRITY
         assert "step 6, stack member 0" in capsys.readouterr().err
+
+    def test_negative_seed_flag_names_seed_alone(self, tmp_path, capsys):
+        code = cli.main(["continuous_limit", "--out", str(tmp_path), "--seed", "-1"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in err and "gamma" not in err
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
