@@ -20,8 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, IntegrityError, NotConvergedError
-from .scenarios import (SCENARIOS, run_scenario, trajectory_rows,
-                        write_trajectory_csv, write_trajectory_json)
+from .scenarios import SCENARIOS, run_scenario, write_trajectory_csv, write_trajectory_json
 
 EXIT_OK = 0
 EXIT_UNKNOWN_SCENARIO = 2
@@ -86,15 +85,16 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create --out {args.out!r}: {exc.strerror}") from None
         result = run_scenario(args.scenario, doc.get("overrides", {}), seed, log_base)
         stem = out_dir / f"{args.scenario}_{seed}"
-        rows = trajectory_rows(result.trajectory)  # checked once, for every writer
         written = []
-        if emit in ("csv", "both"):
-            write_trajectory_csv(result.trajectory, stem.with_suffix(".csv"), rows)
-            written.append(str(stem.with_suffix(".csv")))
-        if emit in ("json", "both"):
-            write_trajectory_json(result.trajectory, result.summary,
-                                  stem.with_suffix(".json"), rows)
-            written.append(str(stem.with_suffix(".json")))
+        try:
+            if emit in ("csv", "both"):
+                written.append(str(stem.with_suffix(".csv")))
+                write_trajectory_csv(result.trajectory, written[-1])
+            if emit in ("json", "both"):
+                written.append(str(stem.with_suffix(".json")))
+                write_trajectory_json(result.trajectory, result.summary, written[-1])
+        except OSError as exc:
+            raise ConfigError(f"cannot write {written[-1]}: {exc.strerror}") from None
         print(json.dumps({"scenario": args.scenario, "seed": seed,
                           "outputs": written, "summary": result.summary}))
         return EXIT_OK

@@ -359,7 +359,10 @@ def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     hermitize, then the eigenvalue floor, then renormalize.
 
     ``joint`` is one state or a stack (B, d, d) at step ``steps``, or a
-    block (n, B, d, d) of stacks at the n steps ``steps``.  The floor is one
+    block (n, B, d, d) of stacks at the n steps ``steps``; on both backends
+    a state to be stored is named by its index in ``carried`` (the state
+    after k collisions is step k), and the accounting names the states it
+    rebuilds from ``carried[s]`` step s.  The floor is one
     Cholesky factorization of joint - PSD_ABORT I, which exists exactly when
     every smallest eigenvalue exceeds PSD_ABORT; only when it fails are the
     spectra computed, so rounding at the boundary never aborts a run.  An
@@ -510,14 +513,16 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
 def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
           carried: np.ndarray):
     """The full backend: the live joint state, checked after every step, with
-    its carried part stored in ``carried``.  Returns the (B, d_E, d_E) units'
+    its carried part stored in ``carried``.  The check names the joint state
+    after n collisions step n, the index in ``carried`` of its carried
+    part, as the windowed backend does.  Returns the (B, d_E, d_E) units'
     states after each step and the (n_steps, B) correlation terms in
     ``cfg.pair_metric``, each from its member's own joint state."""
     joint, dims = inits, [cfg.system_dim]
     envs, corr = [], np.empty((len(keys), len(inits)))
     for k, key in enumerate(keys.tolist()):
         joint, dims = _collide(cfg, unitaries, joint, dims, key)[1:]
-        joint = _integrity(erase_correlations(joint, dims, cfg.erasure_lambda), k)
+        joint = _integrity(erase_correlations(joint, dims, cfg.erasure_lambda), k + 1)
         carried[k + 1] = linalg.partial_trace(joint, dims, _kept(cfg, dims))
         envs.append(linalg.partial_trace(joint, dims, range(1, len(dims))))
         corr[k] = [qstate.state_distance(

@@ -13,7 +13,10 @@ that join a parameter with others (a window against ``n_steps`` in
 ``_check_windows``), validates each of its configurations before its
 first run, with an engine rejection of a derived value re-raised under
 the keys that set it (``_keyed``), computes only its own findings and
-returns them with its representative trajectory.
+returns them with its representative trajectory.  The two writers check
+the ledger (``_check_ledger``) before they open their file, so a failed
+check leaves no file, and format its columns ``WRITE_CHUNK`` rows at a
+time, so writing holds one chunk of rows beside the run's arrays.
 """
 
 from __future__ import annotations
@@ -486,43 +489,40 @@ def _check_ledger(traj: Trajectory, ledger: thermo.ThermoLedger):
             raise ConfigError("entropy-production chain violated at write time")
 
 
-def trajectory_rows(traj: Trajectory) -> list[tuple]:
-    """One row per collision, in ``CSV_HEADER`` column order."""
+def _checked_columns(traj: Trajectory) -> list[np.ndarray]:
+    """The ledger's columns in ``CSV_HEADER`` order, after the write-time check."""
     ledger = thermo.build_ledger(traj)
     _check_ledger(traj, ledger)
-    return list(zip(*(getattr(ledger, name).tolist() for name in CSV_HEADER.split(","))))
+    return [getattr(ledger, name) for name in CSV_HEADER.split(",")]
 
 
-def _formatted_chunks(rows: list[tuple], template: str, sep: str):
-    """``sep.join(template % row for row in rows)`` in pieces of ``WRITE_CHUNK`` rows."""
-    for start in range(0, len(rows), WRITE_CHUNK):
-        yield sep.join([template % row for row in rows[start:start + WRITE_CHUNK]])
+def _formatted_chunks(columns: list[np.ndarray], template: str, sep: str):
+    """Each ``WRITE_CHUNK`` rows of ``columns`` as ``sep.join(template % row ...)``."""
+    for start in range(0, len(columns[0]), WRITE_CHUNK):
+        rows = zip(*(column[start:start + WRITE_CHUNK].tolist() for column in columns))
+        yield sep.join([template % row for row in rows])
 
 
-def write_trajectory_csv(traj: Trajectory, path, rows: list[tuple] | None = None):
-    """The trajectory as CSV; ``rows`` are its ``trajectory_rows`` if already built."""
+def write_trajectory_csv(traj: Trajectory, path):
+    """The trajectory as CSV; the ledger is checked before the file is opened."""
+    columns = _checked_columns(traj)
     with open(path, "w") as fh:
         fh.write(f"# schema_version {CSV_SCHEMA_VERSION}\n{CSV_HEADER}\n")
-        fh.writelines(_formatted_chunks(
-            trajectory_rows(traj) if rows is None else rows, _CSV_ROW, ""))
+        fh.writelines(_formatted_chunks(columns, _CSV_ROW, ""))
 
 
-def write_trajectory_json(traj: Trajectory, summary: dict, path,
-                          rows: list[tuple] | None = None):
-    """The summary and the trajectory as JSON; ``rows`` as in the CSV writer.
+def write_trajectory_json(traj: Trajectory, summary: dict, path):
+    """The summary and the trajectory as JSON; checked as in the CSV writer.
 
     The bytes are those of ``json.dump(doc, fh, indent=1)`` plus a newline.
     """
-    rows = trajectory_rows(traj) if rows is None else rows
+    columns = _checked_columns(traj)
     head = json.dumps({"schema_version": CSV_SCHEMA_VERSION, "summary": summary},
                       indent=1)
     with open(path, "w") as fh:
         fh.write(head[:-len("\n}")] + ',\n "records": [')
-        if not rows:
-            fh.write("]\n}\n")
-            return
-        for i, text in enumerate(_formatted_chunks(rows, _JSON_RECORD, ",\n")):
+        for i, text in enumerate(_formatted_chunks(columns, _JSON_RECORD, ",\n")):
             for old, new in _JSON_NON_FINITE:
                 text = text.replace(old, new)
             fh.write((",\n" if i else "\n") + text)
-        fh.write("\n ]\n}\n")
+        fh.write("\n ]\n}\n" if len(columns[0]) else "]\n}\n")

@@ -22,7 +22,7 @@ def capture_joints(monkeypatch) -> dict:
     def capture(joint, steps):
         out = integrity(joint, steps)
         if growing:
-            joints.setdefault(steps + 1, out)
+            joints.setdefault(steps, out)
         return out
 
     def captured_grow(*args):

@@ -533,6 +533,24 @@ class TestIntegrity:
         out = engine._integrity(stack, 0)
         assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-14, rtol=0)
 
+    @pytest.mark.parametrize("backend", ["windowed", "full"])
+    def test_backends_name_a_broken_state_by_its_carried_index(self, monkeypatch, backend):
+        # the erasure after collision 5 gives NaN: the state it yields is
+        # carried[5], and both backends name it step 5
+        calls = []
+
+        def erase(joint, dims, lam):
+            calls.append(1)
+            out = erase_correlations(joint, dims, lam)
+            return out * np.nan if len(calls) == 5 else out
+        monkeypatch.setattr(engine, "erase_correlations", erase)
+        cfg = qubit_config(n_steps=8, aa_mode="coherent", aa_swap_prob=0.5,
+                           erasure_lambda=0.7, backend=backend)
+        with pytest.raises(IntegrityError, match=r"^state has non-finite entries at step 5, "
+                                                 r"stack member 0$") as caught:
+            run(cfg)
+        assert caught.value.step == 5
+
     def test_scan_row_peak_stays_near_its_carried_states(self):
         # a pair scan's row: 400 steps of 48 members with a carried unit; the
         # propagation checks each position block of the scan as it stores it,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -101,16 +102,39 @@ def reference_json(summary, rows, path):
         fh.write("\n")
 
 
-def assert_writers_match_reference(tmp_path, traj, summary, rows=None):
-    """Both public writers give the reference bytes, given ``rows`` or not."""
-    expected = scenarios.trajectory_rows(traj) if rows is None else rows
+def assert_writers_match_reference(tmp_path, traj, summary):
+    """Both public writers give the reference bytes of the checked columns."""
+    expected = list(zip(*(column.tolist() for column in scenarios._checked_columns(traj))))
     reference_csv(expected, tmp_path / "ref.csv")
     reference_json(summary, expected, tmp_path / "ref.json")
-    scenarios.write_trajectory_csv(traj, tmp_path / "out.csv", rows)
-    scenarios.write_trajectory_json(traj, summary, tmp_path / "out.json", rows)
+    scenarios.write_trajectory_csv(traj, tmp_path / "out.csv")
+    scenarios.write_trajectory_json(traj, summary, tmp_path / "out.json")
     for suffix in (".csv", ".json"):
         assert (tmp_path / f"out{suffix}").read_bytes() \
             == (tmp_path / f"ref{suffix}").read_bytes(), suffix
+
+
+WRITERS = {  # each public writer, the JSON one with an empty summary
+    "csv": scenarios.write_trajectory_csv,
+    "json": lambda traj, path: scenarios.write_trajectory_json(traj, {}, path),
+}
+
+
+def written_rows(stem, traj) -> list[int]:
+    """The rows each writer writes for ``traj``, CSV then JSON."""
+    for suffix, write in WRITERS.items():
+        write(traj, stem.with_suffix("." + suffix))
+    return [len(stem.with_suffix(".csv").read_text().splitlines()) - 2,
+            len(json.loads(stem.with_suffix(".json").read_text())["records"])]
+
+
+def assert_write_rejected(stem, traj, message):
+    """Each writer rejects ``traj`` with ``message`` and leaves no file."""
+    for suffix, write in WRITERS.items():
+        path = stem.with_suffix("." + suffix)
+        with pytest.raises(ConfigError, match=message):
+            write(traj, path)
+        assert not path.exists(), suffix
 
 
 # one value outside the range of each parameter in scenarios.RANGES (a grid's
@@ -136,15 +160,18 @@ class TestWriterBytes:
         assert_writers_match_reference(tmp_path, result.trajectory, result.summary)
 
     @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
-    def test_special_values_and_chunk_seams(self, tmp_path, n_rows):
+    def test_special_values_and_chunk_seams(self, tmp_path, monkeypatch, n_rows):
         # every row holds non-finite, signed-zero, subnormal and huge cells,
-        # each in a column that moves from row to row
+        # each in a column that moves from row to row; the columns stand in
+        # for the checked ones, as the check rejects an infinite residual
         width = len(scenarios.CSV_HEADER.split(",")) - 1
-        rows = [(i, *(SPECIAL[(i + j) % len(SPECIAL)] for j in range(width)))
-                for i in range(n_rows)]
+        columns = [np.arange(n_rows)] + [
+            np.array([SPECIAL[(i + j) % len(SPECIAL)] for i in range(n_rows)], dtype=float)
+            for j in range(width)]
+        monkeypatch.setattr(scenarios, "_checked_columns", lambda traj: columns)
         result = scenarios.run_scenario("thermalization", SMALL["thermalization"])
         summary = {**result.summary, "extremes": SPECIAL}
-        assert_writers_match_reference(tmp_path, result.trajectory, summary, rows)
+        assert_writers_match_reference(tmp_path, result.trajectory, summary)
 
 
 class TestTrajectoryOutput:
@@ -198,23 +225,35 @@ class TestTrajectoryOutput:
                 else:
                     assert csv_val == json_val  # 17 significant digits round-trip
 
-    def test_first_law_checked_at_write_time(self):
+    def test_first_law_checked_at_write_time(self, tmp_path):
         traj = scenarios.run_scenario("thermalization", FAST).trajectory
-        assert len(scenarios.trajectory_rows(traj)) == 150
+        assert written_rows(tmp_path / "ok", traj) == [150, 150]
         traj.ledger["W"][7] += 1e-6
-        with pytest.raises(ConfigError, match="first-law residual"):
-            scenarios.trajectory_rows(traj)
+        assert_write_rejected(tmp_path / "bad", traj, "first-law residual")
 
-    def test_entropy_chain_checked_at_write_time(self):
+    def test_entropy_chain_checked_at_write_time(self, tmp_path):
         traj = scenarios.run_scenario("thermalization", FAST).trajectory
         traj.ledger["I_SE"][7] = -1e-6
-        with pytest.raises(ConfigError, match="entropy-production chain"):
-            scenarios.trajectory_rows(traj)
+        assert_write_rejected(tmp_path / "bad", traj, "entropy-production chain")
         # with unit-unit collisions a unit may arrive correlated: no chain check
         traj = scenarios.run_scenario("nonmarkov_sweep", SMALL["nonmarkov_sweep"]).trajectory
         assert traj.config.aa_mode == "coherent"
         traj.ledger["I_SE"][1] = -1e-6
-        assert len(scenarios.trajectory_rows(traj)) == 4
+        assert written_rows(tmp_path / "ok", traj) == [4, 4]
+
+    def test_writing_memory_is_bounded_by_the_run(self, tmp_path):
+        # formatting holds one chunk of rows, not the whole ledger as rows
+        traj = scenarios.run_scenario("thermalization", {"n_steps": 20000}).trajectory
+        stored = sum(a.nbytes for a in traj.ledger.values()) + traj.snapshots.nbytes
+        for suffix, write in WRITERS.items():
+            write(traj, tmp_path / "warm")
+            tracemalloc.start()
+            try:
+                write(traj, tmp_path / "out")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < stored, suffix
 
 
 class TestCli:
@@ -250,6 +289,15 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert f"config error: cannot create --out {str(out)!r}: " in capsys.readouterr().err
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_unwritable_output_file_is_a_config_error(self, tmp_path, capsys, emit):
+        # the output file's name is taken by a directory
+        taken = tmp_path / f"thermalization_0.{emit}"
+        taken.mkdir()
+        code = cli.main(["thermalization", "--out", str(tmp_path), "--emit", emit])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {taken}: ")
 
     def test_unknown_scenario_names_registry(self, capsys):
         code = cli.main(["warp_drive"])
