@@ -41,8 +41,12 @@ is a read-only view that builds ``CollisionRecord`` rows from the columns.
 Integrity: every state is checked once where it is stored, by
 ``_integrity``: finiteness and the eigenvalue floor (a Cholesky
 factorization that computes spectra only when it fails), then it is
-hermitized and renormalized.  The windowed backend checks each carried
-state, the full backend its joint state after every step.  Accounting
+hermitized and renormalized.  A state of 64 dims or more is factorized
+one exact sector of its nonzero pattern at a time (``linalg.sectors``);
+a dense pattern is one sector.  The windowed backend checks each carried
+state, the full backend its joint state after every step; under the
+trace metric the full backend labels the sectors once per step and uses
+them for its check and for the correlation term's spectrum.  Accounting
 adds its own checks: each step's state after collision and erasure, and
 each reduced state's spectrum against the entropy code's clamp window.  A
 scan that computes no ledger has only the propagation's check, weaker than
@@ -354,7 +358,7 @@ def _abort(what: str, bad: np.ndarray, steps, detail: str = "", values=None):
                          step) from None
 
 
-def _integrity(joint: np.ndarray, steps) -> np.ndarray:
+def _integrity(joint: np.ndarray, steps, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """The check of every state before it is stored: finiteness, then
     hermitize, then the eigenvalue floor, then renormalize.
 
@@ -362,18 +366,33 @@ def _integrity(joint: np.ndarray, steps) -> np.ndarray:
     block (n, B, d, d) of stacks at the n steps ``steps``; on both backends
     a state to be stored is named by its index in ``carried`` (the state
     after k collisions is step k), and the accounting names the states it
-    rebuilds from ``carried[s]`` step s.  The floor is one
-    Cholesky factorization of joint - PSD_ABORT I, which exists exactly when
-    every smallest eigenvalue exceeds PSD_ABORT; only when it fails are the
+    rebuilds from ``carried[s]`` step s.  The floor is a Cholesky
+    factorization of joint - PSD_ABORT I, which exists exactly when every
+    smallest eigenvalue exceeds PSD_ABORT; only when it fails are the
     spectra computed, so rounding at the boundary never aborts a run.  An
     abort names the first failing step and stack member.
+
+    Below 64 dims (every windowed and every accounted state) the
+    factorization is one dense call.  From 64 dims on it is one call per
+    diagonal block: the ``linalg.sectors`` of the hermitized joint's exact
+    nonzero pattern, the union over the stack, or ``blocks`` when given
+    (sectors of a pattern that contains it).  A permuted block-diagonal
+    matrix has a Cholesky factor exactly when each block has one, and a
+    dense pattern is one block and the plain call.
     """
     finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
         _abort("state has non-finite entries", ~finite, steps)
     joint = linalg.hermitize(joint)
+    d = joint.shape[-1]
+    if d >= 64 and blocks is None:
+        blocks = linalg.sectors((joint != 0).reshape(-1, d, d).any(axis=0))
     try:
-        np.linalg.cholesky(joint - PSD_ABORT * np.eye(joint.shape[-1]))
+        if d < 64 or len(blocks) == 1:
+            np.linalg.cholesky(joint - PSD_ABORT * np.eye(d))
+        else:
+            for b in blocks:
+                np.linalg.cholesky(joint[..., b[:, None], b] - PSD_ABORT * np.eye(len(b)))
     except np.linalg.LinAlgError:
         low = linalg.sector_eigvalsh(joint)[..., 0]
         if (low < PSD_ABORT).any():
@@ -510,6 +529,23 @@ def _iterate(cfg: CollisionConfig, maps, keys: np.ndarray, carried: np.ndarray):
         y = x.reshape(len(at), members, 1, m)
 
 
+def _sector_plan(joint: np.ndarray, dims: list[int]) -> list[np.ndarray]:
+    """The ``linalg.sectors`` that serve one step of ``_grow``, from the
+    joint state (B, D, D) before its check: the union over the stack of
+    its exact nonzero pattern, taken symmetric, and of a pattern that
+    contains rho_S (x) rho_E's.  A partial trace is nonzero only where the
+    traced diagonal of the pattern is, so the product's pattern lies
+    within the product of the two traced patterns."""
+    d, d_s = joint.shape[-1], dims[0]
+    pattern = (joint != 0).reshape(-1, d, d).any(axis=0)
+    pattern |= pattern.T
+    split = pattern.reshape(d_s, d // d_s, d_s, d // d_s)
+    on_s = np.diagonal(split, axis1=1, axis2=3).any(axis=-1)
+    on_e = np.diagonal(split, axis1=0, axis2=2).any(axis=-1)
+    return linalg.sectors(pattern | (on_s[:, None, :, None] & on_e[None, :, None, :])
+                          .reshape(d, d))
+
+
 def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
           carried: np.ndarray):
     """The full backend: the live joint state, checked after every step, with
@@ -517,17 +553,30 @@ def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
     after n collisions step n, the index in ``carried`` of its carried
     part, as the windowed backend does.  Returns the (B, d_E, d_E) units'
     states after each step and the (n_steps, B) correlation terms in
-    ``cfg.pair_metric``, each from its member's own joint state."""
+    ``cfg.pair_metric``, each from its member's own joint state.
+
+    Under the trace metric each step labels its sectors once
+    (``_sector_plan``) and uses them both for the check and for the
+    spectrum of joint - rho_S (x) rho_E.  That difference is not
+    hermitized again: the joint was just hermitized, a product of
+    Hermitian factors is exactly Hermitian, and ``eigvalsh`` reads one
+    triangle.  The Jensen-Shannon terms take ``qstate.state_distance``."""
     joint, dims = inits, [cfg.system_dim]
     envs, corr = [], np.empty((len(keys), len(inits)))
+    trace = cfg.pair_metric == "trace"
     for k, key in enumerate(keys.tolist()):
         joint, dims = _collide(cfg, unitaries, joint, dims, key)[1:]
-        joint = _integrity(erase_correlations(joint, dims, cfg.erasure_lambda), k + 1)
+        joint = erase_correlations(joint, dims, cfg.erasure_lambda)
+        blocks = _sector_plan(joint, dims) if trace else None
+        joint = _integrity(joint, k + 1, blocks)
         carried[k + 1] = linalg.partial_trace(joint, dims, _kept(cfg, dims))
         envs.append(linalg.partial_trace(joint, dims, range(1, len(dims))))
-        corr[k] = [qstate.state_distance(
-            j, linalg.kron(linalg.partial_trace(j, dims, [0]), env),
-            cfg.pair_metric, cfg.log_base) for j, env in zip(joint, envs[-1])]
+        product = linalg.kron(linalg.partial_trace(joint, dims, [0]), envs[-1])
+        if trace:
+            corr[k] = 0.5 * np.abs(linalg.sector_eigvalsh(joint - product, blocks)).sum(-1)
+        else:
+            corr[k] = [qstate.state_distance(j, p, cfg.pair_metric, cfg.log_base)
+                       for j, p in zip(joint, product)]
     return envs, corr
 
 

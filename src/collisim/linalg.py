@@ -11,10 +11,11 @@ index 0 is always the system, ascending indices are later ancillas, and
 also take stacks of shape ``(..., d, d)`` and act on each matrix of the
 stack.
 
-``sector_eigvalsh`` diagonalizes each connected component of a matrix's
-nonzero pattern on its own.  Permuting to blocks is a similarity
-transform, so the spectrum is exact and no tolerance is involved; a dense
-matrix is one block and takes the plain ``eigvalsh`` call.
+``sectors`` labels the connected components of a bool pattern, and
+``sector_eigvalsh`` diagonalizes each component of a matrix's nonzero
+pattern on its own.  Permuting to blocks is a similarity transform, so
+the spectrum is exact and no tolerance is involved; a dense matrix is one
+block and takes the plain ``eigvalsh`` call.
 """
 
 from __future__ import annotations
@@ -118,22 +119,13 @@ def herm_eig(h: np.ndarray):
     return vals, vecs
 
 
-def sector_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of a Hermitian matrix or stack ``(..., d, d)``,
-    one ``eigvalsh`` per connected component of the union of the stack's
-    nonzero patterns.
-
-    Only exact zeros split the matrix, so the result equals the dense
-    spectrum up to rounding.  A dense matrix is one component, and a
-    non-finite one is passed whole to ``eigvalsh`` as well, which decides
-    what such an input gives.
-    """
-    a = np.asarray(a)
-    d = _check_square(a)
-    pattern = (a != 0).reshape(-1, d, d).any(axis=0)
-    if pattern.all() or not np.isfinite(a).all():
-        return np.linalg.eigvalsh(a)
-    pattern |= pattern.T
+def sectors(pattern: np.ndarray) -> list[np.ndarray]:
+    """The index sets, each ascending, of the connected components of a
+    ``(d, d)`` bool pattern, taken symmetric (an entry on either side
+    joins its row and column).  An index with no entry off the diagonal is
+    a singleton, and a dense pattern is one set."""
+    d = pattern.shape[-1]
+    pattern = pattern | pattern.T
     # min-label propagation with pointer jumping: each index ends up holding
     # an index of its own component, the same one across the component
     label = np.arange(d)
@@ -144,7 +136,28 @@ def sector_eigvalsh(a: np.ndarray) -> np.ndarray:
             break
         label = new
     order = np.argsort(label, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def sector_eigvalsh(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np.ndarray:
+    """Eigenvalues, ascending, of a Hermitian matrix or stack ``(..., d, d)``,
+    one ``eigvalsh`` per connected component of the union of the stack's
+    nonzero patterns.
+
+    Only exact zeros split the matrix, so the result equals the dense
+    spectrum up to rounding.  A dense matrix is one component, and a
+    non-finite one is passed whole to ``eigvalsh`` as well, which decides
+    what such an input gives.  ``blocks``, when given, are used in place of
+    the components: index sets that partition ``range(d)`` with no nonzero
+    entry between two of them, such as the ``sectors`` of a wider pattern.
+    """
+    a = np.asarray(a)
+    d = _check_square(a)
+    if blocks is None:
+        pattern = (a != 0).reshape(-1, d, d).any(axis=0)
+        if pattern.all() or not np.isfinite(a).all():
+            return np.linalg.eigvalsh(a)
+        blocks = sectors(pattern)
     if len(blocks) == 1:
         return np.linalg.eigvalsh(a)
     vals = [np.linalg.eigvalsh(a[..., b[:, None], b]) for b in blocks]

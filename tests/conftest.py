@@ -19,8 +19,8 @@ def capture_joints(monkeypatch) -> dict:
     joints, integrity, grow = {}, engine._integrity, engine._grow
     growing = []
 
-    def capture(joint, steps):
-        out = integrity(joint, steps)
+    def capture(joint, steps, *blocks):
+        out = integrity(joint, steps, *blocks)
         if growing:
             joints.setdefault(steps, out)
         return out

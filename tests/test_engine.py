@@ -584,6 +584,158 @@ class TestIntegrity:
         assert caught.value.step == 89
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The matrix dimension of every ``np.linalg.cholesky`` call, in order."""
+    calls, dense = [], np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return dense(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def sector_state(min_eig, sizes=(30, 20, 14), seed=5):
+    """A permuted block-diagonal Hermitian matrix, 64 dims by default, with
+    exact zeros between its blocks and smallest eigenvalue ``min_eig`` in
+    the second block, the others' smallest being 0.01; and its blocks."""
+    blocks = [state_with_min_eig(min_eig if i == 1 else 0.01, dim=n)
+              for i, n in enumerate(sizes)]
+    ends = np.cumsum(sizes)
+    h = np.zeros((ends[-1], ends[-1]), dtype=complex)
+    for block, end, n in zip(blocks, ends, sizes):
+        h[end - n:end, end - n:end] = block
+    perm = np.random.default_rng(seed).permutation(ends[-1])
+    inverse = np.argsort(perm)
+    return h[perm[:, None], perm], [np.sort(inverse[end - n:end])
+                                    for end, n in zip(ends, sizes)]
+
+
+class TestIntegrityBySector:
+    """From 64 dims on, the floor is one Cholesky factorization per exact
+    sector; the verdicts and messages are those of the dense check."""
+
+    def test_eigenvalue_below_floor_in_one_block_raises_and_quotes_it(self, cholesky_calls):
+        state, _ = sector_state(-1e-6)
+        with pytest.raises(IntegrityError, match=r"^state lost positivity at step 0, stack "
+                                                 r"member 0: min eigenvalue -1e-06$"):
+            engine._integrity(state, 0)
+        assert cholesky_calls and set(cholesky_calls) <= {30, 20, 14}
+
+    def test_rounding_above_floor_is_accepted_and_renormalized(self, cholesky_calls):
+        state, _ = sector_state(-9e-9)
+        out = engine._integrity(state, 0)
+        assert sorted(cholesky_calls) == [14, 20, 30]
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(out == 0, state == 0)
+
+    def test_stack_names_the_member_failing_in_one_block(self, cholesky_calls):
+        # member 2 fails in its second block, member 3 in a block of its own
+        # pattern: the blocks are the union over the stack (50 and 14), and
+        # the first failing member is named
+        stack = np.array([sector_state(m)[0] for m in (0.01, -9e-9, -1e-6)]
+                         + [sector_state(-1e-5, sizes=(20, 30, 14))[0]])
+        with pytest.raises(IntegrityError, match=r"^state lost positivity at step 4, stack "
+                                                 r"member 2: min eigenvalue -1e-06$"):
+            engine._integrity(stack, 4)
+        assert cholesky_calls and set(cholesky_calls) <= {50, 14}
+
+    def test_non_finite_entry_is_reported_before_any_labelling(self, monkeypatch):
+        def no_labels(pattern):
+            raise AssertionError("a non-finite state was labelled")
+        monkeypatch.setattr(linalg, "sectors", no_labels)
+        stack = np.array([sector_state(0.01)[0]] * 3)
+        stack[1, 2, 3] = np.inf
+        with pytest.raises(IntegrityError, match=r"^state has non-finite entries at step 0, "
+                                                 r"stack member 1$"):
+            engine._integrity(stack, 0)
+
+    def test_given_blocks_are_factorized(self, cholesky_calls):
+        state, blocks = sector_state(0.01)
+        wider = [np.sort(np.concatenate(blocks[:2])), blocks[2]]
+        engine._integrity(state, 0, wider)
+        assert cholesky_calls == [50, 14]
+
+    def test_below_64_dims_is_one_dense_call(self, cholesky_calls):
+        state, _ = sector_state(0.01, sizes=(30, 20, 13))
+        out = engine._integrity(state, 0)
+        assert cholesky_calls == [63]
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+
+
+def grow_checks(monkeypatch, cholesky_calls) -> dict:
+    """Filled by the full-backend runs that follow: the dimension of each
+    factorization in the check of a joint state of 64 dims or more, keyed
+    by its step; the first run's, when several runs follow."""
+    checks, integrity = {}, engine._integrity
+
+    def counted(joint, steps, *blocks):
+        start = len(cholesky_calls)
+        out = integrity(joint, steps, *blocks)
+        if joint.shape[-1] >= 64:
+            checks.setdefault(steps, cholesky_calls[start:])
+        return out
+    monkeypatch.setattr(engine, "_integrity", counted)
+    return checks
+
+
+class TestSectorPlan:
+    def test_product_joins_the_joints_sectors(self):
+        # |psi> has no |11> component, so the joint's pattern splits {3} off;
+        # rho_S and rho_E both have coherences, and their product links 0 and 3
+        psi = np.array([0.6, 0.48, 0.64, 0.0])
+        joint = 0.7 * np.outer(psi, psi) + np.diag([0.0, 0.0, 0.0, 0.3])
+        product = linalg.kron(linalg.partial_trace(joint, [2, 2], [0]),
+                              linalg.partial_trace(joint, [2, 2], [1]))
+        assert len(linalg.sectors(joint != 0)) == 2 and product[0, 3] != 0
+        assert [b.tolist() for b in engine._sector_plan(joint[None], [2, 2])] \
+            == [[0, 1, 2, 3]]
+
+    def test_stack_correlations_match_the_trace_distance(self, monkeypatch):
+        # one member without coherences, one with: the plan is the union over
+        # the stack, and each member's term is its own trace distance
+        cfg = qubit_config(n_steps=6, backend="full", aa_mode="coherent", aa_swap_prob=0.5)
+        joints = capture_joints(monkeypatch)
+        stack = run_stack(cfg, [EXCITED, qstate.bloch_state(1.0, 0.5)])
+        for s in range(1, 7):
+            dims = [2] * (s + 1)
+            for b, joint in enumerate(joints[s]):
+                product = linalg.kron(linalg.partial_trace(joint, dims, [0]),
+                                      linalg.partial_trace(joint, dims, range(1, s + 1)))
+                assert stack.correlations[s - 1, b] == pytest.approx(
+                    qstate.trace_distance(joint, product), abs=1e-13)
+
+
+class TestSectorCounts:
+    """The factorizations the full backend's checks make, by dimension."""
+
+    def test_oracle_pair_factorizes_excitation_sectors(self, monkeypatch, cholesky_calls):
+        # the default 8-step oracle pair (coherent, p = 1): the 9-qubit joint
+        # splits into the sectors of fixed excitation number, C(9, k) each
+        p = scenarios.NONMARKOV_DEFAULTS
+        cfg = scenarios._pswap_config(p, 0, 2.0, aa_mode="coherent", aa_swap_prob=1.0,
+                                      pair_metric=p["metric"])
+        checks = grow_checks(monkeypatch, cholesky_calls)
+        run_paired(replace(cfg, n_steps=p["bound_steps"], backend="full"),
+                   scenarios.EXCITED, scenarios.GROUND)
+        assert sorted(checks) == [5, 6, 7, 8]
+        assert sorted(checks[8], reverse=True) == [126, 126, 84, 84, 36, 36, 9, 9, 1, 1]
+        assert max(cholesky_calls) == 126
+
+    def test_landauer_factorizes_two_parity_blocks(self, monkeypatch, cholesky_calls):
+        cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
+        checks = grow_checks(monkeypatch, cholesky_calls)
+        run(replace(cfg, n_steps=8, backend="full"))
+        assert checks[8] == [256, 256]
+
+    def test_coherent_start_factorizes_one_dense_matrix(self, monkeypatch, cholesky_calls):
+        cfg = scenarios._landauer_config(scenarios.LANDAUER_DEFAULTS, 1.0, 0, 2.0)
+        checks = grow_checks(monkeypatch, cholesky_calls)
+        run(replace(cfg, n_steps=8, backend="full", system_init=qstate.bloch_state(1.0, 0.5)))
+        assert checks[8] == [512]
+
+
 def account(cfg, carried):
     """The deferred accounting of ``cfg`` over the carried states ``carried``."""
     unitaries = [collision_unitary(cfg, i) for i in range(len(cfg.streams))]

@@ -186,6 +186,42 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
+class TestSectors:
+    def test_one_sided_pattern_is_symmetrized(self):
+        # 0-2 only above the diagonal, 3-1 only below it
+        pattern = np.eye(4, dtype=bool)
+        pattern[0, 2] = pattern[3, 1] = True
+        assert [b.tolist() for b in linalg.sectors(pattern)] == [[0, 2], [1, 3]]
+
+    def test_zero_rows_are_singletons(self):
+        pattern = np.ones((5, 5), dtype=bool)
+        pattern[[1, 3], :] = pattern[:, [1, 3]] = False
+        assert [b.tolist() for b in linalg.sectors(pattern)] == [[0, 2, 4], [1], [3]]
+
+    def test_dense_pattern_is_one_block(self):
+        assert [b.tolist() for b in linalg.sectors(np.ones((6, 6), dtype=bool))] \
+            == [list(range(6))]
+
+    def test_input_is_not_modified(self):
+        pattern = np.zeros((3, 3), dtype=bool)
+        pattern[0, 1] = True
+        linalg.sectors(pattern)
+        assert not pattern[1, 0]
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_blocks_partition_the_indices(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(sum(sizes))
+        pattern = block_diagonal(rng, sizes)[perm[:, None], perm] != 0
+        blocks = linalg.sectors(pattern)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(sum(sizes)))
+        assert sorted(map(len, blocks)) == sorted(sizes)
+        assert all(np.all(np.diff(b) > 0) for b in blocks)
+        for b in blocks:  # no entry joins a block to the rest
+            rest = np.setdiff1d(np.arange(sum(sizes)), b)
+            assert not pattern[b[:, None], rest].any()
+
+
 class TestSectorEigvalsh:
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
            st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(0, 2**32 - 1))
@@ -222,6 +258,19 @@ class TestSectorEigvalsh:
         h = random_hermitian(np.random.default_rng(41), 6)
         assert np.array_equal(linalg.sector_eigvalsh(h), np.linalg.eigvalsh(h))
         assert eigvalsh_calls == [6, 6]
+
+    def test_given_blocks_replace_the_labelling(self, eigvalsh_calls, monkeypatch):
+        # wider blocks (the sectors of a pattern that contains the matrix's)
+        # give the same spectrum, and nothing is labelled
+        rng = np.random.default_rng(42)
+        h = block_diagonal(rng, [2, 3, 1])
+
+        def no_labels(pattern):
+            raise AssertionError("given blocks were labelled again")
+        monkeypatch.setattr(linalg, "sectors", no_labels)
+        vals = linalg.sector_eigvalsh(h, [np.arange(5), np.array([5])])
+        assert eigvalsh_calls[:2] == [5, 1]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
 
     def test_oracle_joint_splits_into_excitation_sectors(self, eigvalsh_calls, monkeypatch):
         # the nonmarkov_sweep oracle (coherent unit-unit swaps) at s = 8: the

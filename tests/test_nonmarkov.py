@@ -186,12 +186,12 @@ def plant_checked(monkeypatch, step, member, state):
     stack member ``member`` at step ``step``, in place of the propagated one."""
     integrity = engine._integrity
 
-    def planted(joint, steps):
+    def planted(joint, steps, *blocks):
         at = np.flatnonzero(np.atleast_1d(steps) == step)
         if at.size and joint.shape[-2:] == state.shape:  # not an accounted state
             joint = joint.copy()
             joint.reshape((-1,) + joint.shape[-3:])[at[0], member] = state
-        return integrity(joint, steps)
+        return integrity(joint, steps, *blocks)
     monkeypatch.setattr(engine, "_integrity", planted)
 
 
@@ -222,10 +222,10 @@ class TestLedgerFreeScan:
             monkeypatch.setattr(engine, name, counted)
         checked, integrity = [], engine._integrity
 
-        def check(joint, steps):
+        def check(joint, steps, *blocks):
             checked.append(np.atleast_1d(steps).tolist())
             assert joint.shape[:2] == (len(checked[-1]), 48)  # every member of a row
-            return integrity(joint, steps)
+            return integrity(joint, steps, *blocks)
         monkeypatch.setattr(engine, "_integrity", check)
         nonmarkov.blp_optimize_pairs(self.config(), grid_resolution=12)
         assert calls == {"collision_unitary": 1, "_maps": 1}
