@@ -41,12 +41,11 @@ is a read-only view that builds ``CollisionRecord`` rows from the columns.
 Integrity: every state is checked once where it is stored, by
 ``_integrity``: finiteness and the eigenvalue floor (a Cholesky
 factorization that computes spectra only when it fails), then it is
-hermitized and renormalized.  A state of 64 dims or more is factorized
-one exact sector of its nonzero pattern at a time (``linalg.sectors``);
-a dense pattern is one sector.  The windowed backend checks each carried
-state, the full backend its joint state after every step; under the
-trace metric the full backend labels the sectors once per step and uses
-them for its check and for the correlation term's spectrum.  Accounting
+hermitized and renormalized.  The windowed backend checks each carried
+state, the full backend its joint state after every step.  The full
+backend's per-step sector plan (``_sector_plan``) is the only sector
+split: its check and its trace-metric correlation spectra go block by
+block, and every other check is one dense factorization.  Accounting
 adds its own checks: each step's state after collision and erasure, and
 each reduced state's spectrum against the entropy code's clamp window.  A
 scan that computes no ledger has only the propagation's check, weaker than
@@ -139,6 +138,14 @@ class CollisionConfig:
     pair_metric: str = "trace"       # the distinguishability metric of a pair's runs
 
     def validate(self):
+        integers = {"system_dim": self.system_dim, "n_steps": self.n_steps,
+                    "rng_seed": self.rng_seed,
+                    **{f"streams[{i}].dim": st.dim for i, st in enumerate(self.streams)}}
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (self.log_base > 1 and math.isfinite(self.log_base)):
+            raise ConfigError(f"log_base must be finite and > 1, got {self.log_base!r}")
         finite = {"system_hamiltonian": self.system_hamiltonian,
                   "system_init": self.system_init, "tau": self.tau,
                   "coupling": self.coupling, "aa_theta": self.aa_theta}
@@ -168,9 +175,6 @@ class CollisionConfig:
                 raise ConfigError("interaction matrix is not Hermitian")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
-        if isinstance(self.n_steps, bool) or \
-                not isinstance(self.n_steps, (int, np.integer)):
-            raise ConfigError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if self.rng_seed < 0:
@@ -372,29 +376,26 @@ def _integrity(joint: np.ndarray, steps, blocks: list[np.ndarray] | None = None)
     spectra computed, so rounding at the boundary never aborts a run.  An
     abort names the first failing step and stack member.
 
-    Below 64 dims (every windowed and every accounted state) the
-    factorization is one dense call.  From 64 dims on it is one call per
-    diagonal block: the ``linalg.sectors`` of the hermitized joint's exact
-    nonzero pattern, the union over the stack, or ``blocks`` when given
-    (sectors of a pattern that contains it).  A permuted block-diagonal
-    matrix has a Cholesky factor exactly when each block has one, and a
-    dense pattern is one block and the plain call.
+    Given more than one of ``blocks`` (such as the full backend's sector
+    plan: index sets that partition ``range(d)`` with no nonzero entry
+    between two of them), the floor and the failure spectra go block by
+    block; a permuted block-diagonal matrix has a Cholesky factor exactly
+    when each block has one.  Otherwise the check is one dense call.
     """
     finite = np.isfinite(joint).all(axis=(-2, -1))
     if not finite.all():
         _abort("state has non-finite entries", ~finite, steps)
     joint = linalg.hermitize(joint)
     d = joint.shape[-1]
-    if d >= 64 and blocks is None:
-        blocks = linalg.sectors((joint != 0).reshape(-1, d, d).any(axis=0))
+    blocks = [np.arange(d)] if blocks is None else blocks
     try:
-        if d < 64 or len(blocks) == 1:
+        if len(blocks) == 1:
             np.linalg.cholesky(joint - PSD_ABORT * np.eye(d))
         else:
             for b in blocks:
                 np.linalg.cholesky(joint[..., b[:, None], b] - PSD_ABORT * np.eye(len(b)))
     except np.linalg.LinAlgError:
-        low = linalg.sector_eigvalsh(joint)[..., 0]
+        low = linalg.sector_eigvalsh(joint, blocks)[..., 0]
         if (low < PSD_ABORT).any():
             _abort("state lost positivity", low < PSD_ABORT, steps,
                    ": min eigenvalue {:.3g}", low)
@@ -555,28 +556,26 @@ def _grow(cfg: CollisionConfig, unitaries, keys: np.ndarray, inits: np.ndarray,
     states after each step and the (n_steps, B) correlation terms in
     ``cfg.pair_metric``, each from its member's own joint state.
 
-    Under the trace metric each step labels its sectors once
-    (``_sector_plan``) and uses them both for the check and for the
-    spectrum of joint - rho_S (x) rho_E.  That difference is not
-    hermitized again: the joint was just hermitized, a product of
-    Hermitian factors is exactly Hermitian, and ``eigvalsh`` reads one
-    triangle.  The Jensen-Shannon terms take ``qstate.state_distance``."""
+    Each step labels its sectors once (``_sector_plan``), whatever the
+    metric; the check and the trace metric's spectrum of joint - rho_S (x)
+    rho_E go along them.  That difference is not hermitized again: the
+    joint was just hermitized, a product of Hermitian factors is exactly
+    Hermitian, and ``eigvalsh`` reads one triangle.  The Jensen-Shannon
+    terms are one stacked ``qstate.state_distance``."""
     joint, dims = inits, [cfg.system_dim]
     envs, corr = [], np.empty((len(keys), len(inits)))
-    trace = cfg.pair_metric == "trace"
     for k, key in enumerate(keys.tolist()):
         joint, dims = _collide(cfg, unitaries, joint, dims, key)[1:]
         joint = erase_correlations(joint, dims, cfg.erasure_lambda)
-        blocks = _sector_plan(joint, dims) if trace else None
+        blocks = _sector_plan(joint, dims)
         joint = _integrity(joint, k + 1, blocks)
         carried[k + 1] = linalg.partial_trace(joint, dims, _kept(cfg, dims))
         envs.append(linalg.partial_trace(joint, dims, range(1, len(dims))))
         product = linalg.kron(linalg.partial_trace(joint, dims, [0]), envs[-1])
-        if trace:
+        if cfg.pair_metric == "trace":
             corr[k] = 0.5 * np.abs(linalg.sector_eigvalsh(joint - product, blocks)).sum(-1)
         else:
-            corr[k] = [qstate.state_distance(j, p, cfg.pair_metric, cfg.log_base)
-                       for j, p in zip(joint, product)]
+            corr[k] = qstate.state_distance(joint, product, cfg.pair_metric, cfg.log_base)
     return envs, corr
 
 

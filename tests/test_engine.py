@@ -427,6 +427,29 @@ class TestConfigValidation:
     def test_numpy_integer_n_steps_accepted(self):
         qubit_config(n_steps=np.int64(3)).validate()
 
+    @pytest.mark.parametrize("log_base", [1.0, -2.0, math.nan, 0.5, math.inf])
+    def test_log_base_must_be_finite_and_above_one(self, log_base):
+        with pytest.raises(ConfigError, match=r"^log_base must be finite and > 1, got "):
+            run(qubit_config(log_base=log_base))
+
+    @pytest.mark.parametrize("field,value", [
+        ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", True),
+        ("system_dim", 2.0), ("streams[0].dim", 2.0)])
+    def test_non_integer_field_is_named(self, field, value):
+        cfg = qubit_config(aa_mode="incoherent", aa_swap_prob=0.5)
+        if field == "streams[0].dim":
+            cfg.streams = [replace(cfg.streams[0], dim=value)]
+        else:
+            setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be an integer, got ")):
+            run(cfg)
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = qubit_config(aa_mode="incoherent", aa_swap_prob=0.5, rng_seed=np.int64(3))
+        cfg.system_dim = np.int64(2)
+        cfg.streams = [replace(cfg.streams[0], dim=np.int64(2))]
+        assert run(cfg).snapshots.shape == (6, 2, 2)
+
     def test_run_too_large_to_store_is_rejected_before_anything_is_built(self, monkeypatch):
         # a qubit run of 10**9 steps would store about 176 GB; none of it is made
         def unbuilt(*args):
@@ -613,38 +636,44 @@ def sector_state(min_eig, sizes=(30, 20, 14), seed=5):
 
 
 class TestIntegrityBySector:
-    """From 64 dims on, the floor is one Cholesky factorization per exact
-    sector; the verdicts and messages are those of the dense check."""
+    """Given blocks, the floor is one Cholesky factorization per block; the
+    verdicts and messages are those of the dense check.  Without blocks the
+    check never labels a state: it is one dense factorization."""
 
     def test_eigenvalue_below_floor_in_one_block_raises_and_quotes_it(self, cholesky_calls):
-        state, _ = sector_state(-1e-6)
+        state, blocks = sector_state(-1e-6)
         with pytest.raises(IntegrityError, match=r"^state lost positivity at step 0, stack "
                                                  r"member 0: min eigenvalue -1e-06$"):
-            engine._integrity(state, 0)
+            engine._integrity(state, 0, blocks)
         assert cholesky_calls and set(cholesky_calls) <= {30, 20, 14}
 
     def test_rounding_above_floor_is_accepted_and_renormalized(self, cholesky_calls):
-        state, _ = sector_state(-9e-9)
-        out = engine._integrity(state, 0)
+        state, blocks = sector_state(-9e-9)
+        out = engine._integrity(state, 0, blocks)
         assert sorted(cholesky_calls) == [14, 20, 30]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
         assert np.array_equal(out == 0, state == 0)
 
     def test_stack_names_the_member_failing_in_one_block(self, cholesky_calls):
         # member 2 fails in its second block, member 3 in a block of its own
-        # pattern: the blocks are the union over the stack (50 and 14), and
-        # the first failing member is named
+        # pattern: the blocks given are the union over the stack (50 and 14),
+        # and the first failing member is named
         stack = np.array([sector_state(m)[0] for m in (0.01, -9e-9, -1e-6)]
                          + [sector_state(-1e-5, sizes=(20, 30, 14))[0]])
+        blocks = sector_state(0.01)[1]
+        union = [np.sort(np.concatenate(blocks[:2])), blocks[2]]
         with pytest.raises(IntegrityError, match=r"^state lost positivity at step 4, stack "
                                                  r"member 2: min eigenvalue -1e-06$"):
-            engine._integrity(stack, 4)
+            engine._integrity(stack, 4, union)
         assert cholesky_calls and set(cholesky_calls) <= {50, 14}
 
-    def test_non_finite_entry_is_reported_before_any_labelling(self, monkeypatch):
+    @pytest.fixture
+    def no_labels(self, monkeypatch):
         def no_labels(pattern):
-            raise AssertionError("a non-finite state was labelled")
+            raise AssertionError("the check labelled a state")
         monkeypatch.setattr(linalg, "sectors", no_labels)
+
+    def test_non_finite_entry_is_reported_before_any_labelling(self, no_labels):
         stack = np.array([sector_state(0.01)[0]] * 3)
         stack[1, 2, 3] = np.inf
         with pytest.raises(IntegrityError, match=r"^state has non-finite entries at step 0, "
@@ -657,11 +686,16 @@ class TestIntegrityBySector:
         engine._integrity(state, 0, wider)
         assert cholesky_calls == [50, 14]
 
-    def test_below_64_dims_is_one_dense_call(self, cholesky_calls):
-        state, _ = sector_state(0.01, sizes=(30, 20, 13))
+    def test_without_blocks_is_one_dense_call(self, cholesky_calls, no_labels):
+        state, _ = sector_state(0.01)
         out = engine._integrity(state, 0)
-        assert cholesky_calls == [63]
+        assert cholesky_calls == [64]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_without_blocks_the_failure_spectrum_is_dense(self, no_labels):
+        with pytest.raises(IntegrityError, match=r"^state lost positivity at step 0, stack "
+                                                 r"member 0: min eigenvalue -1e-06$"):
+            engine._integrity(sector_state(-1e-6)[0], 0)
 
 
 def grow_checks(monkeypatch, cholesky_calls) -> dict:
@@ -692,10 +726,16 @@ class TestSectorPlan:
         assert [b.tolist() for b in engine._sector_plan(joint[None], [2, 2])] \
             == [[0, 1, 2, 3]]
 
-    def test_stack_correlations_match_the_trace_distance(self, monkeypatch):
-        # one member without coherences, one with: the plan is the union over
-        # the stack, and each member's term is its own trace distance
-        cfg = qubit_config(n_steps=6, backend="full", aa_mode="coherent", aa_swap_prob=0.5)
+    @pytest.mark.parametrize("metric,distance,tol", [
+        ("trace", qstate.trace_distance, 1e-13), ("jensen-shannon", qstate.js_distance, 0)],
+        ids=qstate.METRICS)
+    def test_stack_correlations_match_each_members_distance(self, monkeypatch, metric,
+                                                            distance, tol):
+        # one member without coherences, one with: the trace terms go along
+        # the plan, the union over the stack, and the Jensen-Shannon terms are
+        # one stacked call; each member's term is its own distance
+        cfg = qubit_config(n_steps=6, backend="full", aa_mode="coherent", aa_swap_prob=0.5,
+                           pair_metric=metric)
         joints = capture_joints(monkeypatch)
         stack = run_stack(cfg, [EXCITED, qstate.bloch_state(1.0, 0.5)])
         for s in range(1, 7):
@@ -704,18 +744,21 @@ class TestSectorPlan:
                 product = linalg.kron(linalg.partial_trace(joint, dims, [0]),
                                       linalg.partial_trace(joint, dims, range(1, s + 1)))
                 assert stack.correlations[s - 1, b] == pytest.approx(
-                    qstate.trace_distance(joint, product), abs=1e-13)
+                    distance(joint, product), abs=tol)
 
 
 class TestSectorCounts:
     """The factorizations the full backend's checks make, by dimension."""
 
-    def test_oracle_pair_factorizes_excitation_sectors(self, monkeypatch, cholesky_calls):
+    @pytest.mark.parametrize("metric", qstate.METRICS)
+    def test_oracle_pair_factorizes_excitation_sectors(self, monkeypatch, cholesky_calls,
+                                                       metric):
         # the default 8-step oracle pair (coherent, p = 1): the 9-qubit joint
-        # splits into the sectors of fixed excitation number, C(9, k) each
+        # splits into the sectors of fixed excitation number, C(9, k) each,
+        # under either pair metric
         p = scenarios.NONMARKOV_DEFAULTS
         cfg = scenarios._pswap_config(p, 0, 2.0, aa_mode="coherent", aa_swap_prob=1.0,
-                                      pair_metric=p["metric"])
+                                      pair_metric=metric)
         checks = grow_checks(monkeypatch, cholesky_calls)
         run_paired(replace(cfg, n_steps=p["bound_steps"], backend="full"),
                    scenarios.EXCITED, scenarios.GROUND)

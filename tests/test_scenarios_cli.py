@@ -81,6 +81,10 @@ class TestRunner:
         with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
             scenarios.run_scenario(name, SMALL[name], seed=seed)
 
+    def test_log_base_of_one_is_named(self):
+        with pytest.raises(ConfigError, match=r"^log_base must be finite and > 1, got 1.0$"):
+            scenarios.run_scenario("thermalization", {"n_steps": 5}, log_base=1.0)
+
 
 def reference_csv(rows, path):
     """The CSV writer formatting one cell at a time: the oracle for its bytes."""
