@@ -31,16 +31,17 @@ def main():
         print(f"  steady heat rate {s['Q_rate']:.3e}, work rate {s['W_rate']:.3e}\n")
 
     ledger = thermo.build_ledger(charged.trajectory)
+    cum = {name: np.cumsum(ledger[name]) for name in ("dE_S", "W", "Q_resource")}
     print("charging transient (cumulative, first 50 collisions)")
-    print(f"  energy gained by the system: {ledger.cumulative('dE_S')[49]:.4f}")
-    print(f"  switching work supplied:     {ledger.cumulative('W')[49]:.4f}")
-    print(f"  heat dumped into the units:  {ledger.cumulative('Q_resource')[49]:.4f}")
+    print(f"  energy gained by the system: {cum['dE_S'][49]:.4f}")
+    print(f"  switching work supplied:     {cum['W'][49]:.4f}")
+    print(f"  heat dumped into the units:  {cum['Q_resource'][49]:.4f}")
 
     if plt is not None:
         fig, ax = plt.subplots()
-        ax.plot(ledger.cumulative("W"), label="work in")
-        ax.plot(ledger.cumulative("dE_S"), label="system energy")
-        ax.plot(ledger.cumulative("Q_resource"), label="heat out")
+        ax.plot(cum["W"], label="work in")
+        ax.plot(cum["dE_S"], label="system energy")
+        ax.plot(cum["Q_resource"], label="heat out")
         ax.set_xlabel("collision number")
         ax.legend()
         fig.savefig("battery_charging.png", dpi=150)

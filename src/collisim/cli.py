@@ -7,8 +7,10 @@ Usage::
 
 Writes ``<out>/<scenario>_<seed>.csv`` and/or ``.json`` and prints a
 one-line JSON summary to stdout.  Exit codes: 0 success, 2 unknown
-scenario, 3 config error, 4 numerical-integrity abort, 5 non-convergence;
-``EXITS`` maps each error type to its code and the label of its message.
+scenario or malformed command line (``--seed abc``, ``--emit xml``: argparse
+exits with its usage message), 3 config error, 4 numerical-integrity abort,
+5 non-convergence; ``EXITS`` maps each error type to its code and the label
+of its message.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ the accounting's.  ``_abort`` names the first failing step and stack member.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,19 +142,27 @@ class CollisionConfig:
         integers = {"system_dim": self.system_dim, "n_steps": self.n_steps,
                     "rng_seed": self.rng_seed,
                     **{f"streams[{i}].dim": st.dim for i, st in enumerate(self.streams)}}
-        for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        reals = {"tau": self.tau, "coupling": self.coupling,
+                 "aa_swap_prob": self.aa_swap_prob, "aa_theta": self.aa_theta,
+                 "erasure_lambda": self.erasure_lambda, "log_base": self.log_base,
+                 **{f"streams[{i}].beta": st.beta for i, st in enumerate(self.streams)
+                    if st.beta is not None}}
+        matrices = {"system_hamiltonian": self.system_hamiltonian,
+                    "system_init": self.system_init,
+                    **{f"streams[{i}].{name}": getattr(st, name)
+                       for i, st in enumerate(self.streams)
+                       for name in ("hamiltonian", "init_state")},
+                    **{f"interactions[{i}]": v for i, v in enumerate(self.interactions)}}
+        for fields, kind, label in ((integers, (int, np.integer), "an integer"),
+                                    (reals, numbers.Real, "a real number"),
+                                    (matrices, np.ndarray, "a numpy array")):
+            for name, value in fields.items():
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {label}, got {value!r}")
         if not (self.log_base > 1 and math.isfinite(self.log_base)):
             raise ConfigError(f"log_base must be finite and > 1, got {self.log_base!r}")
-        finite = {"system_hamiltonian": self.system_hamiltonian,
-                  "system_init": self.system_init, "tau": self.tau,
-                  "coupling": self.coupling, "aa_theta": self.aa_theta}
-        for i, st in enumerate(self.streams):
-            finite[f"streams[{i}].hamiltonian"] = st.hamiltonian
-            finite[f"streams[{i}].init_state"] = st.init_state
-        for i, v in enumerate(self.interactions):
-            finite[f"interactions[{i}]"] = v
+        finite = {**matrices, "tau": self.tau, "coupling": self.coupling,
+                  "aa_theta": self.aa_theta}
         for name, value in finite.items():
             if not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} has non-finite entries")

@@ -39,8 +39,8 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     first failing member's value, as a check of that member alone would.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
-        raise ConfigError(f"density matrix must be square, got {rho.shape}")
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.size == 0:
+        raise ConfigError(f"density matrix must be square and non-empty, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ConfigError("density matrix has non-finite entries")
     if not linalg.is_hermitian(rho):

@@ -332,10 +332,10 @@ def scenario_two_qubit_local_global(p: dict, seed: int, log_base: float):
     return {
         "Q_rate_hot": q_hot, "Q_rate_cold": q_cold, "W_rate": fluxes.W_rate,
         "heat_flows_hot_to_cold": bool(q_hot < 0 < q_cold),
-        "max_first_law_residual": float(np.max(np.abs(ledger.first_law_residual))),
-        "cumulative_W": float(ledger.W.sum()),
-        "max_abs_W": float(np.max(np.abs(ledger.W))),
-        "cumulative_Sigma": float(ledger.Sigma.sum()),
+        "max_first_law_residual": float(np.max(np.abs(ledger["first_law_residual"]))),
+        "cumulative_W": float(ledger["W"].sum()),
+        "max_abs_W": float(np.max(np.abs(ledger["W"]))),
+        "cumulative_Sigma": float(ledger["Sigma"].sum()),
         "global_db_violation": [d.local_db for d in db],
         "fluxes_converged": fluxes.converged,
     }, traj
@@ -478,14 +478,14 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
                                  **findings}, traj)
 
 
-def _check_ledger(traj: Trajectory, ledger: thermo.ThermoLedger):
+def _check_ledger(traj: Trajectory, ledger: dict[str, np.ndarray]):
     """Re-check ledger invariants at write time."""
-    res = np.max(np.abs(ledger.first_law_residual))
+    res = np.max(np.abs(ledger["first_law_residual"]))
     if res >= 1e-9:
         raise ConfigError(f"first-law residual {res:.3g} violates ledger invariant")
     if traj.config.aa_mode == "off":
         # the entropy-production chain presumes uncorrelated fresh units
-        if np.min(ledger.Sigma - ledger.I_SE) < -1e-9 or np.min(ledger.I_SE) < -1e-9:
+        if np.min(ledger["Sigma"] - ledger["I_SE"]) < -1e-9 or np.min(ledger["I_SE"]) < -1e-9:
             raise ConfigError("entropy-production chain violated at write time")
 
 
@@ -493,7 +493,7 @@ def _checked_columns(traj: Trajectory) -> list[np.ndarray]:
     """The ledger's columns in ``CSV_HEADER`` order, after the write-time check."""
     ledger = thermo.build_ledger(traj)
     _check_ledger(traj, ledger)
-    return [getattr(ledger, name) for name in CSV_HEADER.split(",")]
+    return [ledger[name] for name in CSV_HEADER.split(",")]
 
 
 def _formatted_chunks(columns: list[np.ndarray], template: str, sep: str):

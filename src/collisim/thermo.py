@@ -38,57 +38,30 @@ def detailed_balance_report(h_s: np.ndarray, h_anc: np.ndarray,
                                  inverted_db=linalg.commutator_norm(local_s - local_e, v))
 
 
-@dataclass
-class ThermoLedger:
-    """Per-step and cumulative thermodynamic series for a trajectory."""
-    step: np.ndarray
-    E_S: np.ndarray           # system energy after each collision
-    dE_S: np.ndarray
-    Q_resource: np.ndarray
-    Q_bath: np.ndarray
-    W: np.ndarray
-    S_S: np.ndarray
-    S_anc: np.ndarray
-    dS_S: np.ndarray
-    dS_anc: np.ndarray
-    I_SE: np.ndarray
-    Sigma: np.ndarray
-    D_env_relent: np.ndarray
-    D_pair: np.ndarray
-
-    @property
-    def Q_total(self) -> np.ndarray:
-        return self.Q_resource + self.Q_bath
-
-    @property
-    def first_law_residual(self) -> np.ndarray:
-        return self.dE_S - (self.W - self.Q_total)
-
-    def cumulative(self, name: str) -> np.ndarray:
-        return np.cumsum(getattr(self, name))
-
-
-def build_ledger(traj: Trajectory) -> ThermoLedger:
+def build_ledger(traj: Trajectory) -> dict[str, np.ndarray]:
+    """The ledger as named (n_steps,) series, the first law's residual included."""
     led = traj.ledger
     q = led["Q"]
     is_bath = np.array([st.role == "bath" for st in traj.config.streams])[
         traj.config.stream_index()]
-    return ThermoLedger(
-        step=np.arange(len(q)),
-        E_S=led["E_S_post"],
-        dE_S=led["E_S_post"] - led["E_S_pre"],
-        Q_resource=np.where(is_bath, 0.0, q),
-        Q_bath=np.where(is_bath, q, 0.0),
-        W=led["W"],
-        S_S=led["S_S_post"],
-        S_anc=led["S_anc_post"],
-        dS_S=led["S_S_post"] - led["S_S_pre"],
-        dS_anc=led["S_anc_post"] - led["S_anc_pre"],
-        I_SE=led["I_SE"],
-        Sigma=led["Sigma"],
-        D_env_relent=led["D_env_relent"],
-        D_pair=led.get("D_pair", np.full(len(q), math.nan)),
-    )
+    ledger = {
+        "step": np.arange(len(q)),
+        "E_S": led["E_S_post"],  # system energy after each collision
+        "dE_S": led["E_S_post"] - led["E_S_pre"],
+        "Q_resource": np.where(is_bath, 0.0, q),
+        "Q_bath": np.where(is_bath, q, 0.0),
+        "W": led["W"],
+        "S_S": led["S_S_post"],
+        "S_anc": led["S_anc_post"],
+        "dS_S": led["S_S_post"] - led["S_S_pre"],
+        "dS_anc": led["S_anc_post"] - led["S_anc_pre"],
+        "I_SE": led["I_SE"],
+        "Sigma": led["Sigma"],
+        "D_env_relent": led["D_env_relent"],
+        "D_pair": led.get("D_pair", np.full(len(q), math.nan)),
+    }
+    ledger["first_law_residual"] = ledger["dE_S"] - (ledger["W"] - q)
+    return ledger
 
 
 def _check_window(window) -> None:
@@ -162,9 +135,9 @@ def landauer_report(traj: Trajectory, window: int = STEADY_WINDOW) -> LandauerRe
     if np.isnan(beta).any():
         raise ConfigError("Landauer accounting needs thermal ancilla streams")
     beta_q = float(np.mean(beta * traj.ledger["Q"][-window:] / math.log(base)))
-    ds_anc = float(np.mean(led.dS_anc[-window:]))
-    i_se = float(np.mean(led.I_SE[-window:]))
-    d_rel = float(np.mean(led.D_env_relent[-window:]))
-    ds_s = float(np.mean(led.dS_S[-window:]))
+    ds_anc = float(np.mean(led["dS_anc"][-window:]))
+    i_se = float(np.mean(led["I_SE"][-window:]))
+    d_rel = float(np.mean(led["D_env_relent"][-window:]))
+    ds_s = float(np.mean(led["dS_S"][-window:]))
     return LandauerReport(beta_Q=beta_q, dS_anc=ds_anc, I_SE=i_se, D_relent=d_rel,
                          dS_S=ds_s, residual=beta_q + ds_s - i_se - d_rel)

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from contextlib import suppress
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
@@ -502,10 +503,58 @@ class TestConfigValidation:
         (lambda: partial_swap_unitary(1, 0.3), "partial swap needs dim >= 2"),
         (lambda: qubit_config(aa_mode="sometimes").validate(), "aa_mode must be one of"),
         (lambda: erase_correlations(np.eye(4) / 4, [2, 2], 1.5), "erasure lambda must lie"),
+        (lambda: run(replace(qubit_config(), system_dim=0, system_hamiltonian=np.zeros((0, 0)),
+                             system_init=np.zeros((0, 0)))), "non-empty, got (0, 0)"),
+        (lambda: run_stack(qubit_config(), np.zeros((0, 2, 2))), "non-empty, got (0, 2, 2)"),
     ])
     def test_rejection_names_its_cause(self, reject, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             reject()
+
+    @pytest.mark.parametrize("field,value", [
+        ("log_base", "2"), ("tau", "1"), ("aa_swap_prob", "0.5"), ("tau", 1 + 0j),
+        ("streams[0].beta", "1"), ("coupling", 1 + 1j), ("tau", True),
+        ("streams[0].beta", True)])
+    def test_non_real_field_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be a real number, got ")):
+            run(with_field(qubit_config(), field, value))
+
+    # a nested list with a nan entry: the type is named before finiteness
+    @pytest.mark.parametrize("value", [[[math.nan, 0.0], [0.0, 1.0]], None, "1"])
+    @pytest.mark.parametrize("field", ["system_hamiltonian", "system_init",
+                                       "streams[0].hamiltonian",
+                                       "streams[0].init_state", "interactions[0]"])
+    def test_matrix_that_is_not_an_array_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be a numpy array, got ")):
+            run(with_field(qubit_config(), field, value))
+
+
+def with_field(cfg, field, value):
+    """``cfg`` with one field set: a top-level name, ``interactions[0]`` or
+    ``streams[0].<name>``."""
+    if field == "interactions[0]":
+        return replace(cfg, interactions=[value])
+    if field.startswith("streams[0]."):
+        stream = replace(cfg.streams[0], **{field.removeprefix("streams[0]."): value})
+        return replace(cfg, streams=[stream])
+    return replace(cfg, **{field: value})
+
+
+MALFORMED_FIELDS = ([f.name for f in fields(CollisionConfig)
+                     if f.name not in ("streams", "interactions")] + ["interactions[0]"]
+                    + [f"streams[0].{f.name}" for f in fields(AncillaStream)])
+
+
+class TestMalformedFields:
+    """Each field of a 3-step qubit configuration set to each malformed
+    value: the run either goes through or is a ``ConfigError``."""
+
+    @pytest.mark.parametrize("value", ["1", True, None, 1 + 0j, [[1.0]], math.nan,
+                                       math.inf, -1])
+    @pytest.mark.parametrize("field", MALFORMED_FIELDS)
+    def test_runs_or_is_a_config_error(self, field, value):
+        with suppress(ConfigError):
+            run(with_field(qubit_config(n_steps=3), field, value))
 
 
 def state_with_min_eig(min_eig, dim=8, trace=2.0):

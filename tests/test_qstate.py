@@ -388,6 +388,9 @@ class TestStacks:
 
 @pytest.mark.parametrize("reject,fragment", [
     (lambda: qstate.validate_density_matrix(np.zeros((2, 3))), "must be square"),
+    (lambda: qstate.validate_density_matrix(np.zeros((0, 0))), "non-empty, got (0, 0)"),
+    (lambda: qstate.validate_density_matrix(np.zeros((0, 2, 2))),
+     "non-empty, got (0, 2, 2)"),
     (lambda: qstate.relative_entropy(np.eye(2) / 2, np.eye(3) / 3), "dimension mismatch"),
     (lambda: qstate.state_distance(np.eye(2) / 2, np.eye(2) / 2, "js"),
      "unknown metric 'js'"),

@@ -310,6 +310,14 @@ class TestCli:
         assert "warp_drive" in err
         assert "thermalization" in err
 
+    @pytest.mark.parametrize("argv", [["thermalization", "--seed", "abc"],
+                                      ["thermalization", "--emit", "xml"]])
+    def test_malformed_command_line_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: collisim ")
+
     def test_bad_override_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"overrides": {"bogus": 1}}))
