@@ -55,13 +55,12 @@ the accounting's.  ``_abort`` names the first failing step and stack member.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, qstate
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, check_kind
 
 PSD_ABORT = -1e-8   # eigenvalue floor beyond which a run aborts
 FULL_FACTOR_CAP = 10  # the full backend's joint dimension is at most 2**FULL_FACTOR_CAP
@@ -76,15 +75,17 @@ LEDGER_FIELDS = ("E_S_pre", "E_S_post", "E_anc_pre", "E_anc_post", "Q", "W",
 
 def swap_unitary(dim: int) -> np.ndarray:
     """SWAP on two ``dim``-dimensional factors."""
-    d2 = dim * dim
+    d2 = check_kind("dim", dim, "integer", 1) ** 2
     return np.eye(d2, dtype=complex).reshape(dim, dim, dim, dim) \
         .transpose(1, 0, 2, 3).reshape(d2, d2)
 
 
 def partial_swap_unitary(dim: int, theta: float) -> np.ndarray:
     """cos(theta) I + i sin(theta) SWAP on two ``dim``-dimensional factors."""
-    if dim < 2:
+    if check_kind("dim", dim, "integer") < 2:
         raise ConfigError("partial swap needs dim >= 2")
+    if not math.isfinite(check_kind("theta", theta, "real")):
+        raise ConfigError(f"theta must be finite, got {theta!r}")
     d2 = dim * dim
     return math.cos(theta) * np.eye(d2, dtype=complex) \
         + 1j * math.sin(theta) * swap_unitary(dim)
@@ -103,19 +104,6 @@ class AncillaStream:
     init_state: np.ndarray
     role: str = "resource"          # "resource" or "bath"
     beta: float | None = None       # set iff init_state is thermal
-
-    def validate(self):
-        if self.role not in ("resource", "bath"):
-            raise ConfigError(f"unknown stream role {self.role!r}")
-        if self.hamiltonian.shape != (self.dim, self.dim):
-            raise ConfigError("stream Hamiltonian dimension mismatch")
-        qstate.validate_density_matrix(self.init_state)
-        if self.init_state.shape != (self.dim, self.dim):
-            raise ConfigError("stream init_state dimension mismatch")
-        if self.beta is not None:
-            th = qstate.thermal_state(self.hamiltonian, self.beta)
-            if np.max(np.abs(th - self.init_state)) > 1e-10:
-                raise ConfigError("stream beta does not match init_state")
 
 
 @dataclass
@@ -153,14 +141,10 @@ class CollisionConfig:
                        for i, st in enumerate(self.streams)
                        for name in ("hamiltonian", "init_state")},
                     **{f"interactions[{i}]": v for i, v in enumerate(self.interactions)}}
-        for fields, kind, label in ((integers, (int, np.integer), "an integer"),
-                                    (reals, numbers.Real, "a real number"),
-                                    (matrices, np.ndarray, "a numpy array")):
+        for fields, kind in ((integers, "integer"), (reals, "real"), (matrices, "matrix")):
             for name, value in fields.items():
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} must be {label}, got {value!r}")
-        if not (self.log_base > 1 and math.isfinite(self.log_base)):
-            raise ConfigError(f"log_base must be finite and > 1, got {self.log_base!r}")
+                check_kind(name, value, kind)
+        qstate.check_base(self.log_base, "log_base")
         finite = {**matrices, "tau": self.tau, "coupling": self.coupling,
                   "aa_theta": self.aa_theta}
         for name, value in finite.items():
@@ -176,7 +160,16 @@ class CollisionConfig:
         if len(self.interactions) != len(self.streams):
             raise ConfigError("one interaction matrix per stream is required")
         for st, v in zip(self.streams, self.interactions):
-            st.validate()
+            if st.role not in ("resource", "bath"):
+                raise ConfigError(f"unknown stream role {st.role!r}")
+            if st.hamiltonian.shape != (st.dim, st.dim):
+                raise ConfigError("stream Hamiltonian dimension mismatch")
+            qstate.validate_density_matrix(st.init_state)
+            if st.init_state.shape != (st.dim, st.dim):
+                raise ConfigError("stream init_state dimension mismatch")
+            if st.beta is not None and np.max(np.abs(
+                    qstate.thermal_state(st.hamiltonian, st.beta) - st.init_state)) > 1e-10:
+                raise ConfigError("stream beta does not match init_state")
             d = self.system_dim * st.dim
             if v.shape != (d, d):
                 raise ConfigError(f"interaction shape {v.shape} != ({d}, {d})")
@@ -184,10 +177,8 @@ class CollisionConfig:
                 raise ConfigError("interaction matrix is not Hermitian")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
+        check_kind("n_steps", self.n_steps, "integer", 1)
+        check_kind("rng_seed", self.rng_seed, "integer", 0)
         if not 0.0 <= self.aa_swap_prob <= 1.0:
             raise ConfigError("aa_swap_prob must lie in [0, 1]")
         if not 0.0 <= self.erasure_lambda <= 1.0:
@@ -315,6 +306,8 @@ class TrajectoryStack:
 
 def collision_hamiltonian(cfg: CollisionConfig, stream: int) -> np.ndarray:
     """H_S + H_E + g V on the system (x) unit space, rejected if it overflows."""
+    if check_kind("stream", stream, "integer", 0) >= len(cfg.streams):
+        raise ConfigError(f"stream {stream} out of range for {len(cfg.streams)} streams")
     st = cfg.streams[stream]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         h = linalg.kron(cfg.system_hamiltonian, np.eye(st.dim)) \
@@ -333,11 +326,11 @@ def collision_unitary(cfg: CollisionConfig, stream: int) -> np.ndarray:
 
 def erase_correlations(joint: np.ndarray, dims: list[int], lam: float) -> np.ndarray:
     """lam * rho + (1 - lam) * rho_A (x) rho_B, B the last factor of ``dims``."""
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= check_kind("lam", lam, "real") <= 1.0:
         raise ConfigError("erasure lambda must lie in [0, 1]")
     if lam == 1.0:
         return joint
-    n = len(dims)
+    n = np.size(dims)  # partial_trace checks dims
     rho_a = linalg.partial_trace(joint, dims, range(n - 1))
     rho_b = linalg.partial_trace(joint, dims, [n - 1])
     return lam * joint + (1.0 - lam) * linalg.kron(rho_a, rho_b)
@@ -702,7 +695,7 @@ def _propagate(cfg: CollisionConfig, inits) -> TrajectoryStack:
 def _checked_inits(cfg: CollisionConfig, inits) -> np.ndarray:
     """``inits`` as a complex array, rejected unless it is a (B, d_S, d_S)
     stack of density matrices."""
-    inits = np.asarray(inits, dtype=complex)
+    inits = check_kind("initial states", np.asarray(inits), "matrix")
     if inits.ndim != 3 or inits.shape[1:] != (cfg.system_dim, cfg.system_dim):
         raise ConfigError(f"initial states must have shape (B, {cfg.system_dim}, "
                           f"{cfg.system_dim}), got {inits.shape}")

@@ -9,7 +9,9 @@ index 0 is always the system, ascending indices are later ancillas, and
 ``kron`` composes left-to-right in that order.  ``kron``, ``hermitize``,
 ``partial_trace``, ``herm_eig``, ``sector_eigvalsh`` and ``conjugate``
 also take stacks of shape ``(..., d, d)`` and act on each matrix of the
-stack.
+stack.  Every function takes its matrices through ``as_square`` (a square
+matrix or stack of ``check_kind``'s "matrix" kind) and its factor lists
+as integers, so a malformed input is a ``ConfigError``.
 
 ``sectors`` labels the connected components of a bool pattern, and
 ``sector_eigvalsh`` diagonalizes each component of a matrix's nonzero
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_kind
 
 TOL_HERM = 1e-10  # the largest |entry| of h - h† that a Hermitian h may have
 
@@ -40,9 +42,9 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
     Leading axes of stacked operators broadcast against each other.
     """
-    out = np.asarray(ops[0], dtype=complex)
+    out = np.asarray(as_square(ops[0]), dtype=complex)
     for op in ops[1:]:
-        op = np.asarray(op, dtype=complex)
+        op = np.asarray(as_square(op), dtype=complex)
         prod = out[..., :, None, :, None] * op[..., None, :, None, :]
         out = prod.reshape(prod.shape[:-4] + (out.shape[-2] * op.shape[-2],
                                               out.shape[-1] * op.shape[-1]))
@@ -50,22 +52,33 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
+    return as_square(a).conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a†)/2."""
-    return (a + dagger(a)) / 2
+    return (as_square(a) + dagger(a)) / 2
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.max(np.abs(a - dagger(a))) <= TOL_HERM)
+    return bool(np.max(np.abs(as_square(a) - dagger(a))) <= TOL_HERM)
 
 
-def _check_square(a: np.ndarray) -> int:
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """``a``, rejected unless it is a square matrix, or a stack ``(..., d, d)``
+    of them, of ``check_kind``'s "matrix" kind: a numpy array of integer,
+    real or complex dtype."""
+    check_kind(name, a, "matrix")
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[-1]
+    return a
+
+
+def _integers(name: str, values, low: int = 0) -> list:
+    """The entries of ``values``, each rejected unless an integer >= ``low``."""
+    if not np.iterable(values):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return [check_kind(f"{name} entry", v, "integer", low) for v in values]
 
 
 def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
@@ -74,13 +87,13 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     ``dims`` lists the subsystem dimensions whose product must equal the
     matrix dimension; kept factors appear in their original order.
     """
-    m = np.asarray(m, dtype=complex)
-    d = _check_square(m)
-    dims = list(dims)
+    m = np.asarray(as_square(m), dtype=complex)
+    d = m.shape[-1]
+    dims = _integers("dims", dims, 1)
     if math.prod(dims) != d:
         raise ConfigError(f"dims {dims} do not factor dimension {d}")
     n = len(dims)
-    keep = sorted(set(keep))
+    keep = sorted(set(_integers("keep", keep)))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ConfigError(f"bad keep set {keep} for {n} factors")
     # one axis per run of adjacent factors all kept or all traced: einsum has
@@ -108,8 +121,7 @@ def herm_eig(h: np.ndarray):
     Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs
     that are not Hermitian within ``TOL_HERM``.
     """
-    h = np.asarray(h, dtype=complex)
-    _check_square(h)
+    h = np.asarray(as_square(h), dtype=complex)
     if not is_hermitian(h):
         raise ConfigError(
             f"matrix is not Hermitian within {TOL_HERM:g} "
@@ -124,6 +136,10 @@ def sectors(pattern: np.ndarray) -> list[np.ndarray]:
     ``(d, d)`` bool pattern, taken symmetric (an entry on either side
     joins its row and column).  An index with no entry off the diagonal is
     a singleton, and a dense pattern is one set."""
+    pattern = np.asarray(pattern)
+    if pattern.dtype != bool or pattern.ndim != 2 or pattern.shape[0] != pattern.shape[1]:
+        raise ConfigError(f"pattern must be a square bool array, got a {pattern.dtype} "
+                          f"array of shape {pattern.shape}")
     d = pattern.shape[-1]
     pattern = pattern | pattern.T
     # min-label propagation with pointer jumping: each index ends up holding
@@ -145,17 +161,19 @@ def sector_eigvalsh(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np
     nonzero patterns.
 
     Only exact zeros split the matrix, so the result equals the dense
-    spectrum up to rounding.  A dense matrix is one component, and a
-    non-finite one is passed whole to ``eigvalsh`` as well, which decides
-    what such an input gives.  ``blocks``, when given, are used in place of
-    the components: index sets that partition ``range(d)`` with no nonzero
-    entry between two of them, such as the ``sectors`` of a wider pattern.
+    spectrum up to rounding.  A dense matrix is one component, and without
+    ``blocks`` a non-finite entry is a ``ConfigError``.  ``blocks``, when
+    given, are used in place of the components: index sets that partition
+    ``range(d)`` with no nonzero entry between two of them, such as the
+    ``sectors`` of a wider pattern.
     """
-    a = np.asarray(a)
-    d = _check_square(a)
+    a = as_square(a)
+    d = a.shape[-1]
     if blocks is None:
+        if not np.isfinite(a).all():
+            raise ConfigError("matrix has non-finite entries")
         pattern = (a != 0).reshape(-1, d, d).any(axis=0)
-        if pattern.all() or not np.isfinite(a).all():
+        if pattern.all():
             return np.linalg.eigvalsh(a)
         blocks = sectors(pattern)
     if len(blocks) == 1:
@@ -166,7 +184,7 @@ def sector_eigvalsh(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition."""
-    if not np.isfinite(t):
+    if not math.isfinite(check_kind("t", t, "real")):
         raise ConfigError("evolution time must be finite")
     vals, vecs = herm_eig(h)
     radius = float(np.max(np.abs(vals)))
@@ -180,6 +198,7 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba, rejected before the products if they could leave the float
     range: a partial sum of either product is at most d max|a| max|b|."""
+    a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
         raise ConfigError(f"commutator shape mismatch {a.shape} vs {b.shape}")
     a_max, b_max = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
@@ -203,8 +222,12 @@ def conjugate(u: np.ndarray, rho: np.ndarray, dims: list[int],
     the ket and bra axes of the targets in one pass.  A stack ``(..., d, d)``
     is conjugated member by member.
     """
-    dims, targets = list(dims), list(targets)
+    u, rho = as_square(u), as_square(rho)
+    dims, targets = _integers("dims", dims, 1), _integers("targets", targets)
     n, m = len(dims), len(targets)
+    if math.prod(dims) != rho.shape[-1] or len(set(targets)) != m or max(targets + [-1]) >= n:
+        raise ConfigError(f"dims {dims} with targets {targets} do not fit a matrix of "
+                          f"dimension {rho.shape[-1]}")
     t_dims = [dims[i] for i in targets]
     d_t = math.prod(t_dims)
     if u.shape != (d_t, d_t):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qstate
 from .engine import CollisionConfig, Trajectory, _snapshot_stacks
-from .errors import ConfigError
+from .errors import ConfigError, check_kind
 
 REVIVAL_THRESHOLD = 1e-10  # increments below this are rounding noise
 
@@ -39,11 +39,23 @@ def distinguishability_series(traj_a: Trajectory, traj_b: Trajectory) -> np.ndar
                                  traj_a.config.pair_metric, traj_a.config.log_base)
 
 
+def _series(series, ranks=(1,), name="series") -> np.ndarray:
+    """``series`` as an array, rejected unless it is non-empty, of a rank in
+    ``ranks``, and its entries are finite real numbers."""
+    series = check_kind(name, np.asarray(series), "matrix")
+    if series.ndim not in ranks or not series.size or np.iscomplexobj(series) \
+            or not np.isfinite(series).all():
+        raise ConfigError(f"{name} must be a non-empty array of finite real numbers of "
+                          f"rank {' or '.join(map(str, ranks))}, got {series!r}")
+    return series
+
+
 def blp_measure(series):
     """Sum of the increments above ``REVIVAL_THRESHOLD`` of a series.
 
     A 2-D array holds one series per column and gives one sum per column.
     """
+    series = _series(series, (1, 2))
     if len(series) < 2:
         raise ConfigError("series needs at least two points")
     inc = np.diff(series, axis=0)
@@ -53,7 +65,7 @@ def blp_measure(series):
 
 def first_revival_step(series) -> int | None:
     """Index n of the first revival series[n] -> series[n+1], or None."""
-    idx = np.nonzero(np.diff(series) > REVIVAL_THRESHOLD)[0]
+    idx = np.nonzero(np.diff(_series(series)) > REVIVAL_THRESHOLD)[0]
     return int(idx[0]) if idx.size else None
 
 
@@ -86,10 +98,7 @@ def blp_optimize_pairs(cfg: CollisionConfig, metric: str | None = None,
     if metric not in (None, cfg.pair_metric):
         raise ConfigError(f"metric {metric!r} disagrees with the configuration's "
                           f"pair_metric {cfg.pair_metric!r}")
-    if isinstance(grid_resolution, bool) or \
-            not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:
-        raise ConfigError(f"grid_resolution must be an integer >= 1, "
-                          f"got {grid_resolution!r}")
+    check_kind("grid_resolution", grid_resolution, "integer", 1)
     if grid_resolution == 1:
         u_vals, phi_vals = [1.0], [0.0]
     else:
@@ -135,7 +144,10 @@ def bound_findings(dist, terms) -> dict:
     and lhs above ``REVIVAL_THRESHOLD`` (so t > s); the rest of the family is
     tight by construction (t = s has lhs = 0, s = 0 has all terms 0).  Members
     run s-major and the first wins a tie; no genuine revival gives None."""
-    dist, terms = np.asarray(dist), np.asarray(terms)
+    dist, terms = _series(dist, name="dist"), _series(terms, (2,), "terms")
+    if terms.shape != (len(dist), 3):
+        raise ConfigError(f"terms must have shape ({len(dist)}, 3) for a series of "
+                          f"{len(dist)} points, got {terms.shape}")
     s, t = np.triu_indices(len(dist))
     lhs = dist[t] - dist[s]
     slack = terms[s, 0] + terms[s, 1] + terms[s, 2] - lhs

@@ -7,7 +7,9 @@ base 2 so entropies read in bits and the Jensen-Shannon distance lives in
 
 The entropies and distances also take stacks of shape ``(..., d, d)``:
 one matrix gives a float, a stack gives one value per member (the
-engine's mutual information is a difference of these entropies).
+engine's mutual information is a difference of these entropies).  They
+take their matrices as ``linalg.as_square`` does, with finite entries, and
+a log base as ``check_base`` does; anything else is a ``ConfigError``.
 
 The trace distance takes the spectrum of rho - sigma block by block
 along its exact nonzero pattern (``linalg.sector_eigvalsh``): the
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError
+from .errors import ConfigError, check_kind
 
 EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, 0) are treated as 0
 STATE_TOL = 1e-10       # a valid state's trace error and negative eigenvalues are smaller
@@ -38,7 +40,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     A stack ``(..., d, d)`` is checked member by member; the error names the
     first failing member's value, as a check of that member alone would.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(check_kind("density matrix", rho, "matrix"), dtype=complex)
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.size == 0:
         raise ConfigError(f"density matrix must be square and non-empty, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
@@ -58,24 +60,30 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 def pure_state(vec: np.ndarray) -> np.ndarray:
     """Projector |v><v| for a (normalized on the fly) state vector."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
+    v = check_kind("state vector", np.asarray(vec), "matrix").astype(complex).ravel()
+    norm = np.linalg.norm(v)
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"state vector must have a finite non-zero norm, got {vec!r}")
+    v = v / norm
     return np.outer(v, v.conj())
 
 
 def bloch_state(theta: float, phi: float) -> np.ndarray:
     """Pure qubit state at polar angle theta, azimuth phi on the Bloch sphere."""
+    check_kind("theta", theta, "real"), check_kind("phi", phi, "real")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ConfigError(f"Bloch angles must be finite, got {theta!r} and {phi!r}")
     v = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
     return np.outer(v, v.conj())
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
+    return np.eye(check_kind("dim", dim, "integer", 1), dtype=complex) / dim
 
 
 def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta h)/Z, stabilized by a spectral shift."""
-    if not (np.isfinite(beta) and beta >= 0):
+    if not (math.isfinite(check_kind("beta", beta, "real")) and beta >= 0):
         raise ConfigError(f"inverse temperature must be finite and >= 0, got {beta}")
     vals, vecs = linalg.herm_eig(h)
     with np.errstate(over="ignore"):  # beta * gap past the float range: weight exp(-inf) = 0
@@ -111,14 +119,32 @@ def _relative_entropy(s_rho, rho, s_vals, s_vecs, base):
                     -s_rho - (weight * log_s).sum(axis=-1) / math.log(base))
 
 
-def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> None:
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as an array, rejected unless a square matrix or stack with finite entries."""
+    x = linalg.as_square(x, name)
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{name} has non-finite entries")
+    return x
+
+
+def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both as arrays, rejected unless ``_finite`` and of one shape."""
+    rho, sigma = _finite(rho, "rho"), _finite(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise ConfigError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
+    return rho, sigma
+
+
+def check_base(base, name: str = "base") -> None:
+    """Reject a log base that is not a real number, finite and > 1."""
+    if not (check_kind(name, base, "real") > 1 and math.isfinite(base)):
+        raise ConfigError(f"{name} must be finite and > 1, got {base!r}")
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """-Tr rho log rho with 0 log 0 = 0."""
-    vals = _spectrum(rho)
+    check_base(base)
+    vals = _spectrum(_finite(rho, "rho"))
     if (vals[..., 0] < -EIG_CLAMP).any():
         raise ConfigError(f"eigenvalue {vals[..., 0].min():.3g} below clamp window; "
                           "broken upstream state")
@@ -127,7 +153,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray):
     """(1/2) Tr |rho - sigma|."""
-    _check_pair(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
     diff = linalg.hermitize(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
     vals = linalg.sector_eigvalsh(diff)
     return _value(0.5 * np.abs(vals).sum(axis=-1))
@@ -136,7 +162,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray):
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
     """-S(rho) - Tr rho log sigma from rho's spectrum and sigma's eigenvectors; +inf
     when rho puts weight above 1e-10 on those below ``SUPPORT_CUTOFF``."""
-    _check_pair(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
+    check_base(base)
     s_vals, s_vecs = linalg.herm_eig(linalg.hermitize(sigma))
     return _value(_relative_entropy(_entropy(_spectrum(rho), base), rho, s_vals, s_vecs, base))
 
@@ -148,7 +175,8 @@ def js_distance(rho: np.ndarray, sigma: np.ndarray, base: float = 2.0):
     A divergence at or below ``JS_FLOOR`` is set to 0 before the root, which
     would lift rounding of about 1e-16 to a distance of about 1e-8.
     """
-    _check_pair(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
+    check_base(base)
     s_mid, s_rho, s_sigma = (_entropy(_spectrum(x), base)
                              for x in ((rho + sigma) / 2, rho, sigma))
     div = s_mid - s_rho / 2 - s_sigma / 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -32,7 +31,7 @@ import numpy as np
 from . import linalg, nonmarkov, qstate, thermo
 from .engine import (AncillaStream, CollisionConfig, Trajectory, collision_hamiltonian,
                      partial_swap_interaction, run, run_paired)
-from .errors import ConfigError
+from .errors import ConfigError, check_kind
 
 CSV_SCHEMA_VERSION = 1
 CSV_HEADER = "step,E_S,Q_resource,Q_bath,W,S_S,S_anc,I_SE,Sigma,D_pair"
@@ -72,9 +71,9 @@ def _merge(defaults: dict, overrides: dict, name: str) -> dict:
             for k, v in {**defaults, **overrides}.items()}
 
 
-# what an override must be, by the type of its default
+# what an override must be, by the type of its default: a ``check_kind`` kind for a number
 _KINDS = {tuple: ((list, tuple), "a non-empty list"), str: (str, "a string"),
-          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+          int: "integer", float: "real"}
 
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and >= 0")
 _POSITIVE = (lambda v: 0 < v < math.inf, "be positive and finite")
@@ -100,18 +99,17 @@ def _check_override(name: str, key: str, value, default, rng=None) -> None:
     entry of a list must match the default's first entry and lie in the
     list's range.
     """
-    accepted, kind = _KINDS[type(default)]
-    if not isinstance(value, accepted) or isinstance(value, bool) \
-            or (isinstance(default, tuple) and not value):
-        raise ConfigError(f"override {key!r} of scenario {name!r} must be {kind}, "
-                          f"got {value!r}")
+    what, kind = f"override {key!r} of scenario {name!r}", _KINDS[type(default)]
+    if isinstance(kind, str):
+        check_kind(what, value, kind)
+    elif not isinstance(value, kind[0]) or (isinstance(default, tuple) and not value):
+        raise ConfigError(f"{what} must be {kind[1]}, got {value!r}")
     if isinstance(default, float):
         try:
             float(value)
         except OverflowError:  # its digits may be too many to print
-            raise ConfigError(f"override {key!r} of scenario {name!r} must be in the "
-                              f"float range, got an integer of {value.bit_length()} "
-                              f"bits") from None
+            raise ConfigError(f"{what} must be in the float range, got an integer of "
+                              f"{value.bit_length()} bits") from None
     if isinstance(default, tuple):
         for i, entry in enumerate(value):
             _check_override(name, f"{key}[{i}]", entry, default[0], RANGES.get(key))
@@ -467,11 +465,16 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
 
     The summary opens with the merged parameters, the seed and the log
     base, followed by the scenario's findings.  A ``seed`` that is not an
-    integer >= 0 is rejected before any configuration is built.  An unknown
-    ``name`` raises ``KeyError``.
+    integer >= 0 is rejected before any configuration is built, as are an
+    unknown ``name`` (the error lists the scenarios) and ``overrides`` that
+    are not a dict.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (isinstance(name, str) and name in SCENARIOS):
+        raise ConfigError(f"unknown scenario {name!r}; available: "
+                          f"{', '.join(sorted(SCENARIOS))}")
+    if not isinstance(overrides or {}, dict):
+        raise ConfigError(f"overrides must be a dict, got {overrides!r}")
+    check_kind("seed", seed, "integer", 0)
     p = _merge(DEFAULTS[name], overrides or {}, name)
     findings, traj = SCENARIOS[name](p, seed, log_base)
     return ScenarioResult(name, {"params": p, "seed": seed, "log_base": log_base,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg, qstate
 from .engine import Trajectory
-from .errors import ConfigError, NotConvergedError
+from .errors import ConfigError, NotConvergedError, check_kind
 
 STEADY_WINDOW = 50
 STEADY_DRIFT = 1e-8  # a drift (of fluxes or of snapshots) below this is a steady state
@@ -32,6 +32,7 @@ class DetailedBalanceReport:
 def detailed_balance_report(h_s: np.ndarray, h_anc: np.ndarray,
                             v: np.ndarray) -> DetailedBalanceReport:
     """Commutator diagnostics for local and inverted detailed balance."""
+    h_s, h_anc = linalg.as_square(h_s, "h_s"), linalg.as_square(h_anc, "h_anc")
     local_s = linalg.kron(h_s, np.eye(h_anc.shape[0]))
     local_e = linalg.kron(np.eye(h_s.shape[0]), h_anc)
     return DetailedBalanceReport(local_db=linalg.commutator_norm(local_s + local_e, v),
@@ -64,14 +65,9 @@ def build_ledger(traj: Trajectory) -> dict[str, np.ndarray]:
     return ledger
 
 
-def _check_window(window) -> None:
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise ConfigError(f"window must be an integer >= 1, got {window!r}")
-
-
 def steady_state_drift(traj: Trajectory, window: int = STEADY_WINDOW) -> float:
     """Largest trace distance between successive system snapshots in the window."""
-    _check_window(window)
+    check_kind("window", window, "integer", 1)
     if traj.snapshots is None or len(traj.snapshots) < window + 1:
         raise ConfigError("trajectory too short (or missing snapshots) for the window")
     tail = traj.snapshots[-(window + 1):]
@@ -88,7 +84,7 @@ class FluxReport:
 
 def steady_state_fluxes(traj: Trajectory, window: int = STEADY_WINDOW) -> FluxReport:
     """Windowed per-collision averages of heat and work near the end of a run."""
-    _check_window(window)
+    check_kind("window", window, "integer", 1)
     q, w = traj.ledger["Q"], traj.ledger["W"]
     if len(q) < 2 * window:
         raise ConfigError("trajectory too short for two flux windows")

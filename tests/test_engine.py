@@ -388,8 +388,8 @@ class TestConfigValidation:
     def test_beta_mismatch(self):
         h = SZ / 2
         stream = AncillaStream(2, h, qstate.maximally_mixed(2), beta=3.0)
-        with pytest.raises(ConfigError):
-            stream.validate()
+        with pytest.raises(ConfigError, match="stream beta does not match init_state"):
+            replace(qubit_config(), streams=[stream]).validate()
 
     def test_nan_coupling_names_field(self):
         with pytest.raises(ConfigError, match="coupling"):
@@ -490,12 +490,13 @@ class TestConfigValidation:
          "at least one ancilla stream"),
         (lambda: replace(qubit_config(), streams=qubit_config().streams * 2).validate(),
          "one interaction matrix per stream"),
-        (lambda: replace(qubit_config().streams[0], role="sink").validate(),
+        (lambda: with_field(qubit_config(), "streams[0].role", "sink").validate(),
          "unknown stream role 'sink'"),
-        (lambda: replace(qubit_config().streams[0], hamiltonian=np.eye(3)).validate(),
+        (lambda: with_field(qubit_config(), "streams[0].hamiltonian", np.eye(3)).validate(),
          "stream Hamiltonian dimension mismatch"),
-        (lambda: replace(qubit_config().streams[0], beta=None,
-                         init_state=qstate.maximally_mixed(3)).validate(),
+        (lambda: replace(qubit_config(), streams=[replace(
+            qubit_config().streams[0], beta=None,
+            init_state=qstate.maximally_mixed(3))]).validate(),
          "stream init_state dimension mismatch"),
         (lambda: collision_unitary(replace(qubit_config(theta=1e308), interactions=[
             linalg.kron(SX, SX) - linalg.kron(SY, SY)]), 0),  # entries 2e308
@@ -540,6 +541,7 @@ def with_field(cfg, field, value):
     return replace(cfg, **{field: value})
 
 
+MALFORMED_VALUES = ["1", True, None, 1 + 0j, [[1.0]], math.nan, math.inf, -1]
 MALFORMED_FIELDS = ([f.name for f in fields(CollisionConfig)
                      if f.name not in ("streams", "interactions")] + ["interactions[0]"]
                     + [f"streams[0].{f.name}" for f in fields(AncillaStream)])
@@ -549,8 +551,7 @@ class TestMalformedFields:
     """Each field of a 3-step qubit configuration set to each malformed
     value: the run either goes through or is a ``ConfigError``."""
 
-    @pytest.mark.parametrize("value", ["1", True, None, 1 + 0j, [[1.0]], math.nan,
-                                       math.inf, -1])
+    @pytest.mark.parametrize("value", MALFORMED_VALUES)
     @pytest.mark.parametrize("field", MALFORMED_FIELDS)
     def test_runs_or_is_a_config_error(self, field, value):
         with suppress(ConfigError):

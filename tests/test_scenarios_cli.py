@@ -39,7 +39,9 @@ class TestRegistry:
             "two_qubit_local_global", "landauer", "continuous_limit"}
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown scenario 'nope'; available: battery, "
+                                              "continuous_limit, landauer, nonmarkov_sweep, "
+                                              "thermalization, two_qubit_local_global"):
             scenarios.run_scenario("nope")
 
     def test_unknown_override_key(self):
